@@ -9,18 +9,25 @@ one) is folded into the expected cost of actions that can terminate.
 
 The compiled problem is generated lazily so heuristic-search solvers can
 work on instances far too large to enumerate.  :func:`enumerate_reachable`
-is the eager path used by value iteration, oracles, and debug dumps.
+is the eager path used by value iteration, oracles, and debug dumps: its
+breadth-first walk writes a CSR transition matrix over (state, action)
+rows, a cost array and a goal mask straight into :class:`Reachable`,
+without filling the lazy caches.
 """
 
 from __future__ import annotations
 
-import threading
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, TextIO, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, TextIO, Tuple
 
 from .errors import ImproperModel, ModelError, StateBudgetExceeded
 from .model import Action, GusspModel, KnowledgeVector, State, PROB_TOL
+
+if TYPE_CHECKING:
+    import numpy as np
+    from scipy import sparse
 
 DEFAULT_STATE_BUDGET = 10_000_000
 
@@ -34,22 +41,60 @@ class CompiledState:
         return f"({self.s!r}, {self.k})"
 
 
-class CompiledSsp:
+Row = Tuple[Tuple[int, float], ...]
+
+
+class LazySsp:
+    """Memoised ``successors``/``cost`` over a subclass's uncached ``expand``.
+
+    ``expand(i, a)`` returns the successor row and the expected cost of
+    ``a`` at ``i`` in one pass; both are cached on the first request for
+    either.  :func:`enumerate_reachable` calls ``expand`` directly.
+    """
+
+    def __init__(self, actions: Tuple[Action, ...]):
+        self.actions = actions
+        self._goal_flags: List[bool] = []
+        self._succ_cache: Dict[Tuple[int, Action], Row] = {}
+        self._cost_cache: Dict[Tuple[int, Action], float] = {}
+
+    def expand(self, i: int, a: Action) -> Tuple[Row, float]:
+        raise NotImplementedError
+
+    def is_goal(self, i: int) -> bool:
+        return self._goal_flags[i]
+
+    def successors(self, i: int, a: Action) -> Row:
+        key = (i, a)
+        cached = self._succ_cache.get(key)
+        if cached is not None:
+            return cached
+        out, self._cost_cache[key] = self.expand(i, a)
+        self._succ_cache[key] = out
+        return out
+
+    def cost(self, i: int, a: Action) -> float:
+        key = (i, a)
+        cached = self._cost_cache.get(key)
+        if cached is not None:
+            return cached
+        self._succ_cache[key], c = self.expand(i, a)
+        self._cost_cache[key] = c
+        return c
+
+
+class CompiledSsp(LazySsp):
     """Lazy finite SSP over (base state, knowledge vector) pairs.
 
-    States are interned to dense integer ids in discovery order.  Interning
-    and the successor cache are synchronized so trials may run on threads.
+    States are interned to dense integer ids in discovery order.  Instances
+    are not thread-safe: every solve compiles its own.
     """
 
     def __init__(self, model: GusspModel):
+        super().__init__(model.actions)
         self.model = model
-        self.actions: Tuple[Action, ...] = model.actions
-        self._lock = threading.Lock()
         self._ids: Dict[Tuple[State, KnowledgeVector], int] = {}
         self._states: List[CompiledState] = []
-        self._goal_flags: List[bool] = []
-        self._succ_cache: Dict[Tuple[int, Action], Tuple[Tuple[int, float], ...]] = {}
-        self._cost_cache: Dict[Tuple[int, Action], float] = {}
         self._branch_cache: Dict[Tuple[KnowledgeVector, int], Tuple[Tuple[KnowledgeVector, float], ...]] = {}
         self.start_id = self.intern(model.start_state, model.knowledge_all_unknown())
 
@@ -58,26 +103,24 @@ class CompiledSsp:
 
     def intern(self, s: State, k: KnowledgeVector) -> int:
         key = (s, k)
-        with self._lock:
-            i = self._ids.get(key)
-            if i is None:
-                i = len(self._states)
-                self._ids[key] = i
-                self._states.append(CompiledState(s, k))
-                self._goal_flags.append(self.model.is_terminal(s, k))
-            return i
+        i = self._ids.get(key)
+        if i is None:
+            i = len(self._states)
+            self._ids[key] = i
+            self._states.append(CompiledState(s, k))
+            self._goal_flags.append(self.model.is_terminal(s, k))
+        return i
 
     def state(self, i: int) -> CompiledState:
         return self._states[i]
-
-    def is_goal(self, i: int) -> bool:
-        return self._goal_flags[i]
 
     def _revelation_branches(
         self, s_next: State, k: KnowledgeVector
     ) -> Tuple[Tuple[KnowledgeVector, float], ...]:
         """Knowledge updates produced by arriving at ``s_next`` from knowledge ``k``."""
-        revealed = self.model.reveal_indices(s_next) & k.unknown_mask
+        revealed = self.model.reveal_indices(s_next)
+        if revealed:
+            revealed &= k.unknown_mask
         if not revealed:
             return ((k, 1.0),)
         key = (k, revealed)
@@ -96,58 +139,50 @@ class CompiledSsp:
         self._branch_cache[key] = branches
         return branches
 
-    def successors(self, i: int, a: Action) -> Tuple[Tuple[int, float], ...]:
-        key = (i, a)
-        cached = self._succ_cache.get(key)
-        if cached is not None:
-            return cached
+    def expand(self, i: int, a: Action) -> Tuple[Row, float]:
         if self._goal_flags[i]:
-            out: Tuple[Tuple[int, float], ...] = ((i, 1.0),)
-            self._succ_cache[key] = out
-            return out
+            return ((i, 1.0),), 0.0
         x = self._states[i]
+        intern, branches = self.intern, self._revelation_branches
         acc: Dict[int, float] = {}
         total = 0.0
         for s2, p in self.model.transition_rows(x.s, a, x.k):
             if p <= 0.0:
                 continue
             total += p
-            for k2, q in self._revelation_branches(s2, x.k):
-                j = self.intern(s2, k2)
+            for k2, q in branches(s2, x.k):
+                j = intern(s2, k2)
                 acc[j] = acc.get(j, 0.0) + p * q
         if abs(total - 1.0) > PROB_TOL:
             raise ModelError(
                 f"dynamics row for {x} / {a!r} sums to {total!r}, expected 1"
             )
         out = tuple(acc.items())
-        self._succ_cache[key] = out
-        return out
-
-    def cost(self, i: int, a: Action) -> float:
-        key = (i, a)
-        cached = self._cost_cache.get(key)
-        if cached is not None:
-            return cached
-        if self._goal_flags[i]:
-            self._cost_cache[key] = 0.0
-            return 0.0
-        x = self._states[i]
         c = self.model.step_cost(x.s, a, x.k)
         if self.model.terminal_cost is not None:
-            for j, p in self.successors(i, a):
+            for j, p in out:
                 if self._goal_flags[j]:
                     c += p * self.model.exit_cost(self._states[j].s)
-        self._cost_cache[key] = c
-        return c
+        return out, c
 
 
 @dataclass
 class Reachable:
-    """Closed reachable set of a compiled problem, in discovery order."""
+    """Closed reachable set of a compiled problem, as arrays over its rows.
+
+    Row ``r`` is state ``ids[r]``; rows are in breadth-first discovery order.
+    With ``A = len(ssp.actions)``, row ``r * A + a`` of the CSR matrix
+    ``transitions`` (shape ``(n * A, n)``) and of ``cost`` is the ``a``-th
+    action at row ``r``: its successors as rows, in ``ssp.successors``
+    order (so indices are not sorted), and ``ssp.cost``.  Goal rows have no
+    successors and cost zero; ``goal`` marks them.
+    """
 
     ids: List[int]
     goal_ids: FrozenSet[int]
-    predecessors: Dict[int, List[int]] = field(repr=False, default_factory=dict)
+    goal: "np.ndarray" = field(repr=False)
+    cost: "np.ndarray" = field(repr=False)
+    transitions: "sparse.csr_matrix" = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -218,58 +253,83 @@ def _check_base_properness(model: GusspModel) -> None:
 
 
 def enumerate_reachable(
-    ssp: CompiledSsp,
+    ssp: LazySsp,
     state_budget: int = DEFAULT_STATE_BUDGET,
     require_proper: bool = True,
 ) -> Reachable:
-    """Breadth-first closure from the start state.
+    """Breadth-first closure from the start state, written into CSR arrays.
 
-    Goal states are absorbing and not expanded.  Raises
-    :class:`StateBudgetExceeded` past ``state_budget`` states and, when
-    ``require_proper``, :class:`ImproperModel` if some reachable state
-    cannot reach a goal.
+    Every non-goal (state, action) pair is expanded once through
+    ``ssp.expand``, and its row goes straight into the arrays of
+    :class:`Reachable`; the lazy caches are left alone.  Goal states are
+    absorbing and not expanded.  Raises :class:`StateBudgetExceeded` past
+    ``state_budget`` states and, when ``require_proper``,
+    :class:`ImproperModel` if some reachable state cannot reach a goal.
     """
-    order: List[int] = []
-    goal_ids = set()
-    preds: Dict[int, List[int]] = {}
-    seen = {ssp.start_id}
-    frontier = deque([ssp.start_id])
-    while frontier:
-        i = frontier.popleft()
-        order.append(i)
-        if ssp.is_goal(i):
-            goal_ids.add(i)
-            continue
-        for a in ssp.actions:
-            for j, p in ssp.successors(i, a):
-                if p <= 0.0:
-                    continue
-                preds.setdefault(j, []).append(i)
-                if j not in seen:
-                    seen.add(j)
-                    if len(seen) > state_budget:
+    import numpy as np
+    from scipy import sparse
+
+    actions = ssp.actions
+    ids = [ssp.start_id]
+    row_of = {ssp.start_id: 0}
+    goal = bytearray()
+    indptr, indices, data, cost = array("i", [0]), array("i"), array("d"), array("d")
+    expand, is_goal, row = ssp.expand, ssp.is_goal, row_of.get
+    add_r, add_p = indices.append, data.append
+    for i in ids:  # ids grows while it is walked: it is the BFS queue
+        g = is_goal(i)
+        goal.append(g)
+        for a in actions:
+            succ, c = ((), 0.0) if g else expand(i, a)
+            cost.append(c)
+            for j, p in succ:
+                r = row(j)
+                if r is None:
+                    r = row_of[j] = len(ids)
+                    ids.append(j)
+                    if r >= state_budget:
                         raise StateBudgetExceeded(
                             f"more than {state_budget} reachable compiled states"
                         )
-                    frontier.append(j)
+                add_r(r)
+                add_p(p)
+            indptr.append(len(indices))
+
+    n = len(ids)
+    goal_mask = np.frombuffer(goal, dtype=bool)
+    transitions = sparse.csr_matrix(
+        (np.frombuffer(data, dtype=float), np.frombuffer(indices, dtype=np.intc),
+         np.frombuffer(indptr, dtype=np.intc)),
+        shape=(n * len(actions), n),
+    )
 
     if require_proper:
-        can_finish = set(goal_ids)
-        stack = list(goal_ids)
+        # walk back from the goals; column c of the transpose is the pair
+        # (row c // A, action c % A)
+        back = transitions.T.tocsr()
+        ptr, nbr = back.indptr.tolist(), (back.indices // len(actions)).tolist()
+        can_finish = goal_mask.tolist()
+        stack = [r for r in range(n) if can_finish[r]]
         while stack:
             j = stack.pop()
-            for i in preds.get(j, ()):
-                if i not in can_finish:
-                    can_finish.add(i)
-                    stack.append(i)
-        dead = [i for i in order if i not in can_finish]
+            for r in nbr[ptr[j]:ptr[j + 1]]:
+                if not can_finish[r]:
+                    can_finish[r] = True
+                    stack.append(r)
+        dead = [ids[r] for r in range(n) if not can_finish[r]]
         if dead:
             raise ImproperModel(
                 f"{len(dead)} reachable states cannot reach a goal, "
                 f"e.g. {ssp.state(dead[0])}"
             )
 
-    return Reachable(ids=order, goal_ids=frozenset(goal_ids), predecessors=preds)
+    return Reachable(
+        ids=ids,
+        goal_ids=frozenset(i for i, g in zip(ids, goal) if g),
+        goal=goal_mask,
+        cost=np.frombuffer(cost, dtype=float),
+        transitions=transitions,
+    )
 
 
 def dump_compiled(

@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .compiler import ImproperModel, StateBudgetExceeded, enumerate_reachable
+from .compiler import ImproperModel, LazySsp, Row, StateBudgetExceeded, enumerate_reachable
 from .errors import NoEligibleGoal
 from .heuristics import DistanceOracle, build_distance_oracle
 from .model import (
@@ -92,7 +92,7 @@ def select_goal_cg(
     return _tied_choice(scored, rng, best)
 
 
-class AssumedTargetSsp:
+class AssumedTargetSsp(LazySsp):
     """Single-target planning problem with goal uncertainty frozen out.
 
     Base states are planned over directly, with the knowledge vector pinned
@@ -102,15 +102,12 @@ class AssumedTargetSsp:
     """
 
     def __init__(self, model: GusspModel, k_assumed: KnowledgeVector, target: int):
+        super().__init__(model.actions)
         self.model = model
         self.k = k_assumed
         self.target = target
-        self.actions = model.actions
         self._ids: Dict[State, int] = {}
         self._states: List[State] = []
-        self._goal_flags: List[bool] = []
-        self._succ: Dict[Tuple[int, Action], Tuple[Tuple[int, float], ...]] = {}
-        self._cost: Dict[Tuple[int, Action], float] = {}
         self.start_id = self.intern(model.start_state)
 
     def intern(self, s: State) -> int:
@@ -127,42 +124,21 @@ class AssumedTargetSsp:
     def state(self, i: int) -> State:
         return self._states[i]
 
-    def is_goal(self, i: int) -> bool:
-        return self._goal_flags[i]
-
-    def successors(self, i: int, a: Action) -> Tuple[Tuple[int, float], ...]:
-        key = (i, a)
-        out = self._succ.get(key)
-        if out is None:
-            if self._goal_flags[i]:
-                out = ((i, 1.0),)
-            else:
-                s = self._states[i]
-                out = tuple(
-                    (self.intern(s2), p)
-                    for s2, p in self.model.transition_rows(s, a, self.k)
-                    if p > 0.0
-                )
-            self._succ[key] = out
-        return out
-
-    def cost(self, i: int, a: Action) -> float:
-        key = (i, a)
-        c = self._cost.get(key)
-        if c is None:
-            if self._goal_flags[i]:
-                c = 0.0
-            else:
-                s = self._states[i]
-                c = self.model.step_cost(s, a, self.k)
-                if self.model.terminal_cost is not None:
-                    for j, p in self.successors(i, a):
-                        if self._goal_flags[j] and self.model.is_terminal(
-                            self._states[j], self.k
-                        ):
-                            c += p * self.model.exit_cost(self._states[j])
-            self._cost[key] = c
-        return c
+    def expand(self, i: int, a: Action) -> Tuple[Row, float]:
+        if self._goal_flags[i]:
+            return ((i, 1.0),), 0.0
+        s = self._states[i]
+        out = tuple(
+            (self.intern(s2), p)
+            for s2, p in self.model.transition_rows(s, a, self.k)
+            if p > 0.0
+        )
+        c = self.model.step_cost(s, a, self.k)
+        if self.model.terminal_cost is not None:
+            for j, p in out:
+                if self._goal_flags[j] and self.model.is_terminal(self._states[j], self.k):
+                    c += p * self.model.exit_cost(self._states[j])
+        return out, c
 
 
 class _AnchorHeuristic:

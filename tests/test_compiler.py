@@ -1,4 +1,5 @@
 import io
+from pathlib import Path
 
 import pytest
 
@@ -8,8 +9,13 @@ from gussp.compiler import (
     dump_compiled,
     enumerate_reachable,
 )
+from gussp.determinize import AssumedTargetSsp
+from gussp.domains import load_instance
 from gussp.errors import ImproperModel, StateBudgetExceeded
 from gussp.model import GoalPrior, GusspModel, KnowledgeVector
+from gussp.solvers import value_iteration
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 
 def test_line4_reachable_set_frozen(line4_model, line4_solved):
@@ -176,3 +182,69 @@ def test_hook_domain_exit_cost_folded():
     # at charge 0, so the expected exit penalty 0.5 * 5 * 2 is in the cost
     c = ssp.cost(ssp.start_id, "idle")
     assert c == pytest.approx(0.5 * 5.0 * 2)
+
+
+def assert_rows_match_lazy(ssp, reach):
+    """Every array row equals the lazy ``successors``/``cost`` of its pair."""
+    ids, m = reach.ids, reach.transitions
+    n_actions = len(ssp.actions)
+    assert m.shape == (len(ids) * n_actions, len(ids))
+    for r, i in enumerate(ids):
+        assert bool(reach.goal[r]) == ssp.is_goal(i)
+        for a_pos, a in enumerate(ssp.actions):
+            lo, hi = m.indptr[r * n_actions + a_pos], m.indptr[r * n_actions + a_pos + 1]
+            row = [(ids[c], p) for c, p in zip(m.indices[lo:hi].tolist(), m.data[lo:hi].tolist())]
+            cost = reach.cost[r * n_actions + a_pos]
+            if reach.goal[r]:
+                assert row == [] and cost == 0.0
+            else:
+                assert row == list(ssp.successors(i, a))
+                assert cost == ssp.cost(i, a)
+
+
+@pytest.mark.parametrize("name", ["line4", "grid8_landmark", "ev8"])
+def test_reachable_rows_match_lazy_expansion(name):
+    _params, model = load_instance(str(INSTANCES / f"{name}.txt"))
+    ssp = compile_gussp(model)
+    reach = enumerate_reachable(ssp)
+    # the eager path expands without filling the lazy caches
+    assert not ssp._succ_cache and not ssp._cost_cache
+    if name == "ev8":
+        assert model.terminal_cost is not None  # exit costs folded into cost
+    assert_rows_match_lazy(ssp, reach)
+
+
+def test_assumed_target_ssp_enumerates_into_arrays(line4_model):
+    k = line4_model.knowledge_all_unknown().confirm(yes=0b01, no=0b10)
+    ssp = AssumedTargetSsp(line4_model, k, target=0)
+    reach = enumerate_reachable(ssp)
+    assert not ssp._succ_cache and not ssp._cost_cache
+    assert [ssp.state(i) for i in reach.ids] == [(0, 0), (1, 0), (2, 0)]
+    assert_rows_match_lazy(ssp, reach)
+    vi = value_iteration(ssp, reachable=reach)
+    assert vi.table.value(ssp.start_id) == 2.0
+    assert vi.policy.act(ssp.start_id) == "right"
+
+
+def test_dead_end_after_revelation_is_improper():
+    """Arriving at 1 reveals whether it is a goal; if not, the only way on
+    is a trap, and the other potential goal (3) is out of reach.  Every
+    all-unknown state can still finish, so only the exact check sees it."""
+
+    def transition(s, a):
+        return ((s if s >= 2 else s + 1, 1.0),)
+
+    model = GusspModel(
+        base_states=[0, 1, 2, 3],
+        actions=("fwd",),
+        transition=transition,
+        cost=lambda s, a: 1.0,
+        start_state=0,
+        potential_goals=(1, 3),
+        prior=GoalPrior.uniform(2),
+    )
+    ssp = compile_gussp(model, check_properness=False)
+    with pytest.raises(ImproperModel, match=r"2 reachable states .* e\.g\. \(1, NU\)"):
+        enumerate_reachable(ssp)
+    reach = enumerate_reachable(ssp, require_proper=False)
+    assert [str(ssp.state(i)) for i in reach.ids] == ["(0, UU)", "(1, NU)", "(1, GU)", "(2, NU)"]

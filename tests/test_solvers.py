@@ -14,6 +14,7 @@ from gussp.solvers import (
     value_iteration,
 )
 from gussp.heuristics import build_distance_oracle, make_heuristic
+from oracles import belief_space_values
 
 
 def test_bellman_line4_partial_backup(line4_solved):
@@ -55,16 +56,22 @@ def test_vi_matches_hand_value(line4_solved):
     assert vi.policy.act(ssp.start_id) == "right"
 
 
-def test_vi_backends_agree(small_grids):
+def test_vi_matches_belief_space_oracle(small_grids):
+    # the oracle walks raw Bayes beliefs and shares no code with the
+    # compiler's arrays or the VI sweeps.  A belief here is the prior
+    # restricted to the configurations still possible, so a compiled state
+    # is matched to the belief with the same base state and support.
     for _params, model in small_grids[:6]:
         ssp = compile_gussp(model)
         reach = enumerate_reachable(ssp)
-        v_np = value_iteration(ssp, reachable=reach, backend="numpy")
-        v_py = value_iteration(ssp, reachable=reach, backend="python")
+        vi = value_iteration(ssp, reachable=reach, epsilon=1e-10)
+        ref, _v0 = belief_space_values(model)
+        by_support = {(s, frozenset(g for g, _p in b)): v for (s, b), v in ref.items()}
+        configs = [g for g, p in model.prior.config_probs().items() if p > 0.0]
         for i in reach.ids:
-            assert v_np.table.value(i) == pytest.approx(
-                v_py.table.value(i), abs=1e-7
-            )
+            x = ssp.state(i)
+            support = frozenset(g for g in configs if x.k.is_consistent_with(g))
+            assert vi.table.value(i) == pytest.approx(by_support[(x.s, support)], abs=1e-7)
 
 
 def test_vi_monotone_from_below(line4_solved):
@@ -93,6 +100,13 @@ def test_vi_policy_covers_nongoal_states(line4_solved):
             assert vi.policy.get(i) is None
         else:
             assert vi.policy.get(i) is not None
+
+
+def test_vi_policy_equals_per_state_backup(small_grids_solved):
+    # the vectorised argmin reproduces bellman_backup's fold, ties included
+    for _params, _model, ssp, reach, vi in small_grids_solved:
+        for i in reach.ids:
+            assert vi.policy.get(i) == bellman_backup(ssp, vi.table, i)[1]
 
 
 @pytest.mark.parametrize("heuristic", ["zero", "hmin", "hpg"])
