@@ -35,7 +35,6 @@ from .errors import (
     NonDeterministicModel,
     SolverError,
     StateBudgetExceeded,
-    StepBudgetExceeded,
     TooManyGoals,
     UnreachableVertex,
 )
@@ -52,8 +51,6 @@ from .heuristics import (
     HminHeuristic,
     HpgHeuristic,
     build_distance_oracle,
-    h_min,
-    h_pg,
     make_heuristic,
     zero_heuristic,
 )
@@ -64,9 +61,7 @@ from .model import (
     Observation,
     Status,
     apply_observation,
-    marginal_is_goal,
     observe,
-    posterior_config,
     step_world,
 )
 from .solvers import (

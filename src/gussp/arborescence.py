@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import NonDeterministicModel, TooManyGoals, UnreachableVertex
 from .heuristics import DistanceOracle, build_distance_oracle
@@ -32,14 +32,6 @@ class GoalGraph:
     weights: Dict[Edge, float]
     distances: Dict[Edge, float]
     marginals: Tuple[float, ...]
-
-    def vertex_of_goal(self, i: int) -> int:
-        return i + 1
-
-    def goal_of_vertex(self, v: int) -> int:
-        if v == ROOT:
-            raise ValueError("root is not a goal vertex")
-        return v - 1
 
 
 def _check_deterministic(model: GusspModel) -> None:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, TextIO, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, TextIO, Tuple
 
 from .errors import ImproperModel, ModelError, StateBudgetExceeded
 from .model import Action, GusspModel, KnowledgeVector, State, PROB_TOL
@@ -86,83 +86,142 @@ class LazySsp:
 class CompiledSsp(LazySsp):
     """Lazy finite SSP over (base state, knowledge vector) pairs.
 
-    States are interned to dense integer ids in discovery order.  Instances
+    Base states are numbered once, in ``model.base_states`` order (``sid``),
+    and knowledge vectors as they are first met (``kid``, keyed on their
+    ``yes`` and ``no`` masks).  A compiled state is keyed by the single int
+    ``sid + n_base * kid`` and interned to a dense id in discovery order.
+    Base rows ``model.transition(s, a)`` are memoised per ``(sid, a)`` and
+    shared by every knowledge vector; the ``knowledge_effects`` hook is
+    still called on every expansion and wins when it answers.  Instances
     are not thread-safe: every solve compiles its own.
     """
 
     def __init__(self, model: GusspModel):
         super().__init__(model.actions)
         self.model = model
-        self._ids: Dict[Tuple[State, KnowledgeVector], int] = {}
-        self._states: List[CompiledState] = []
-        self._branch_cache: Dict[Tuple[KnowledgeVector, int], Tuple[Tuple[KnowledgeVector, float], ...]] = {}
+        self._base = model.base_states
+        self._n_base = len(self._base)
+        self._sid: Dict[State, int] = {s: sid for sid, s in enumerate(self._base)}
+        self._reveal = [model.reveal_indices(s) for s in self._base]
+        self._kid: Dict[int, int] = {}
+        self._kvs: List[KnowledgeVector] = []
+        self._ids: Dict[int, int] = {}
+        self._sids: List[int] = []
+        self._kids: List[int] = []
+        # per action, per sid: the base row as ((sid', p), ...), once met
+        self._rows = {a: [None] * self._n_base for a in self.actions}
+        self._branch_cache: Dict[int, Tuple[Tuple[int, float], ...]] = {}
         self.start_id = self.intern(model.start_state, model.knowledge_all_unknown())
 
     def __len__(self) -> int:
-        return len(self._states)
+        return len(self._sids)
 
-    def intern(self, s: State, k: KnowledgeVector) -> int:
-        key = (s, k)
-        i = self._ids.get(key)
-        if i is None:
-            i = len(self._states)
-            self._ids[key] = i
-            self._states.append(CompiledState(s, k))
-            self._goal_flags.append(self.model.is_terminal(s, k))
+    def _kid_of(self, k: KnowledgeVector) -> int:
+        key = (k.yes << k.n) | k.no
+        kid = self._kid.get(key)
+        if kid is None:
+            kid = self._kid[key] = len(self._kvs)
+            self._kvs.append(k)
+        return kid
+
+    def _add(self, sid: int, kid: int) -> int:
+        i = self._ids[sid + self._n_base * kid] = len(self._sids)
+        self._sids.append(sid)
+        self._kids.append(kid)
+        self._goal_flags.append(self.model.is_terminal(self._base[sid], self._kvs[kid]))
         return i
 
-    def state(self, i: int) -> CompiledState:
-        return self._states[i]
+    def intern(self, s: State, k: KnowledgeVector) -> int:
+        sid = self._sid.get(s)
+        if sid is None:
+            raise ModelError(f"{s!r} is not a base state")
+        kid = self._kid_of(k)
+        i = self._ids.get(sid + self._n_base * kid)
+        return self._add(sid, kid) if i is None else i
 
-    def _revelation_branches(
-        self, s_next: State, k: KnowledgeVector
-    ) -> Tuple[Tuple[KnowledgeVector, float], ...]:
-        """Knowledge updates produced by arriving at ``s_next`` from knowledge ``k``."""
-        revealed = self.model.reveal_indices(s_next)
-        if revealed:
-            revealed &= k.unknown_mask
-        if not revealed:
-            return ((k, 1.0),)
-        key = (k, revealed)
+    def state(self, i: int) -> CompiledState:
+        return CompiledState(self._base[self._sids[i]], self._kvs[self._kids[i]])
+
+    def _revelation_branches(self, kid: int, revealed: int) -> Tuple[Tuple[int, float], ...]:
+        """Knowledge updates, as ``(kid, probability)``, when the goals in
+        ``revealed`` (all unknown under ``kid``) are observed."""
+        key = (kid << self.model.n_goals) | revealed
         cached = self._branch_cache.get(key)
         if cached is not None:
             return cached
+        k = self._kvs[kid]
         patterns: Dict[int, float] = {}
         for mask, p in self.model.prior.posterior(k).items():
             pat = mask & revealed
             patterns[pat] = patterns.get(pat, 0.0) + p
         branches = tuple(
-            (k.confirm(yes=pat, no=revealed & ~pat), prob)
+            (self._kid_of(k.confirm(yes=pat, no=revealed & ~pat)), prob)
             for pat, prob in sorted(patterns.items())
             if prob > 0.0
         )
         self._branch_cache[key] = branches
         return branches
 
-    def expand(self, i: int, a: Action) -> Tuple[Row, float]:
-        if self._goal_flags[i]:
-            return ((i, 1.0),), 0.0
-        x = self._states[i]
-        intern, branches = self.intern, self._revelation_branches
-        acc: Dict[int, float] = {}
+    def _sid_row(self, rows, s: State, k: KnowledgeVector, a: Action) -> Row:
+        """Positive-probability outcomes of ``rows`` as ``(sid, p)``, checked."""
+        out = []
         total = 0.0
-        for s2, p in self.model.transition_rows(x.s, a, x.k):
+        for s2, p in rows:
             if p <= 0.0:
                 continue
             total += p
-            for k2, q in branches(s2, x.k):
-                j = intern(s2, k2)
-                acc[j] = acc.get(j, 0.0) + p * q
+            sid2 = self._sid.get(s2)
+            if sid2 is None:
+                raise ModelError(
+                    f"successor {s2!r} of {CompiledState(s, k)} / {a!r} is not a base state"
+                )
+            out.append((sid2, p))
         if abs(total - 1.0) > PROB_TOL:
             raise ModelError(
-                f"dynamics row for {x} / {a!r} sums to {total!r}, expected 1"
+                f"dynamics row for {CompiledState(s, k)} / {a!r} sums to {total!r}, expected 1"
             )
+        return tuple(out)
+
+    def expand(self, i: int, a: Action) -> Tuple[Row, float]:
+        goal_flags = self._goal_flags
+        if goal_flags[i]:
+            return ((i, 1.0),), 0.0
+        sid, kid = self._sids[i], self._kids[i]
+        s, k = self._base[sid], self._kvs[kid]
+        model = self.model
+        rows = None
+        if model.knowledge_effects is not None:
+            rows = model.knowledge_effects(s, a, k)
+        if rows is None:
+            memo = self._rows[a]
+            row = memo[sid]
+            if row is None:
+                row = memo[sid] = self._sid_row(model.transition(s, a), s, k, a)
+        else:
+            row = self._sid_row(rows, s, k, a)
+        ids, add, branches = self._ids, self._add, self._revelation_branches
+        n, reveal, unknown = self._n_base, self._reveal, model.full_mask & ~(k.yes | k.no)
+        here = n * kid
+        acc: Dict[int, float] = {}
+        for sid2, p in row:
+            revealed = reveal[sid2] & unknown
+            if not revealed:  # p * 1.0 == p: the knowledge vector stays put
+                j = ids.get(sid2 + here)
+                if j is None:
+                    j = add(sid2, kid)
+                acc[j] = acc.get(j, 0.0) + p
+                continue
+            for kid2, q in branches(kid, revealed):
+                j = ids.get(sid2 + n * kid2)
+                if j is None:
+                    j = add(sid2, kid2)
+                acc[j] = acc.get(j, 0.0) + p * q
         out = tuple(acc.items())
-        c = self.model.step_cost(x.s, a, x.k)
-        if self.model.terminal_cost is not None:
+        c = model.step_cost(s, a, k)
+        if model.terminal_cost is not None:
             for j, p in out:
-                if self._goal_flags[j]:
-                    c += p * self.model.exit_cost(self._states[j].s)
+                if goal_flags[j]:
+                    c += p * model.exit_cost(self._base[self._sids[j]])
         return out, c
 
 
@@ -335,7 +394,6 @@ def enumerate_reachable(
 def dump_compiled(
     ssp: CompiledSsp,
     stream: TextIO,
-    reachable: Optional[Reachable] = None,
     state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> None:
     """Write the reachable compiled graph, one state per line.
@@ -343,9 +401,7 @@ def dump_compiled(
     Format: ``state_id  s  k  [a->(state_id,p),...]`` with actions in model
     order, omitted for goal states.
     """
-    if reachable is None:
-        reachable = enumerate_reachable(ssp, state_budget=state_budget)
-    for i in reachable.ids:
+    for i in enumerate_reachable(ssp, state_budget=state_budget).ids:
         x = ssp.state(i)
         if ssp.is_goal(i):
             stream.write(f"{i}  {x.s!r}  {x.k}  goal\n")

@@ -22,7 +22,6 @@ from .errors import NoEligibleGoal
 from .heuristics import DistanceOracle, build_distance_oracle
 from .model import (
     Action,
-    GoalPrior,
     GusspModel,
     KnowledgeVector,
     State,
@@ -176,7 +175,6 @@ class DeterminizedPlan:
     table: ValueTable
     policy: Dict[int, Action] = field(default_factory=dict)
     heuristic: Optional[_AnchorHeuristic] = None
-    planning_time: float = 0.0
 
 
 class PlanCache:
@@ -240,7 +238,6 @@ class PlanCache:
             )
             plan.policy.update(result.policy.actions)
         elapsed = time.perf_counter() - t0
-        plan.planning_time += elapsed
         return plan, elapsed
 
 
@@ -251,7 +248,6 @@ class DetTrial:
     replans: int
     plan_time: float
     failed: bool
-    targets: List[int]
     trace: Optional[List[TraceRow]]
 
 
@@ -293,8 +289,7 @@ def execute_determinized(
 
     while not model.is_terminal(s, k):
         if steps >= step_budget:
-            return DetTrial(cost, steps, max(0, len(targets) - 1), plan_time,
-                            True, targets, trace)
+            return DetTrial(cost, steps, max(0, len(targets) - 1), plan_time, True, trace)
         if plan is not None and (
             k.status_of(plan.target) is Status.CONFIRMED_NOT_GOAL
             or model.target_done(s, plan.target)
@@ -331,4 +326,4 @@ def execute_determinized(
     cost += model.exit_cost(s)
     if trace is not None:
         trace.append(TraceRow(steps, s, str(k), None, cost, "-"))
-    return DetTrial(cost, steps, max(0, len(targets) - 1), plan_time, False, targets, trace)
+    return DetTrial(cost, steps, max(0, len(targets) - 1), plan_time, False, trace)

@@ -45,10 +45,6 @@ class StateBudgetExceeded(SolverError):
     """Reachable-state enumeration hit the configured cap."""
 
 
-class StepBudgetExceeded(SolverError):
-    """A simulated trial exceeded its step budget without terminating."""
-
-
 class NoEligibleGoal(SolverError):
     """Goal selection found no potential goal that is still possibly true."""
 

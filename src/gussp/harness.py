@@ -18,11 +18,10 @@ import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, TextIO, Tuple
+from typing import Callable, List, Optional, Sequence, TextIO, Tuple
 
 from .compiler import DEFAULT_STATE_BUDGET, CompiledSsp, Reachable, compile_gussp, enumerate_reachable
 from .determinize import DetTrial, PlanCache, execute_determinized
-from .errors import GusspError
 from .harness_types import TraceRow
 from .heuristics import DistanceOracle, build_distance_oracle, make_heuristic
 from .model import Action, GusspModel, apply_observation, step_world
@@ -170,6 +169,24 @@ def _mean_stderr(xs: Sequence[float]) -> Tuple[float, float]:
     return mean, statistics.stdev(xs) / math.sqrt(len(xs))
 
 
+def _cell_result(
+    spec: CellSpec, heuristic: str, records: List[TrialRecord],
+    traces: List[List[TraceRow]], **solver_fields,
+) -> CellResult:
+    """One report over a cell's trial records plus its solver's fields."""
+    mean, stderr = _mean_stderr([r.cost for r in records])
+    report = BenchmarkReport(
+        instance=spec.name, algorithm=spec.algorithm, heuristic=heuristic,
+        trials=spec.trials, seed=spec.seed, epsilon=spec.epsilon,
+        mean_cost=mean, stderr_cost=stderr,
+        mean_steps=statistics.fmean(r.steps for r in records) if records else math.nan,
+        mean_replans=statistics.fmean(r.replans for r in records) if records else 0.0,
+        failures=sum(r.failed for r in records),
+        **solver_fields,
+    )
+    return CellResult(report=report, trials=records, traces=traces)
+
+
 def run_cell(
     model: GusspModel,
     spec: CellSpec,
@@ -255,7 +272,6 @@ def run_cell(
 
     records: List[TrialRecord] = []
     traces: List[List[TraceRow]] = []
-    costs: List[float] = []
     t1 = time.perf_counter()
     for trial in range(spec.trials):
         g_mask = model.sample_config(make_rng("config", spec.seed, trial))
@@ -271,26 +287,17 @@ def run_cell(
             trial=trial, config=_config_string(g_mask), cost=out.cost,
             steps=out.steps, replans=0, failed=out.failed,
         ))
-        costs.append(out.cost)
         if collect_traces and out.trace is not None:
             traces.append(out.trace)
     exec_time = time.perf_counter() - t1
-
-    mean, stderr = _mean_stderr(costs)
-    report = BenchmarkReport(
-        instance=spec.name, algorithm=spec.algorithm, heuristic=spec.heuristic,
-        trials=spec.trials, seed=spec.seed, epsilon=spec.epsilon,
-        mean_cost=mean, stderr_cost=stderr,
-        mean_steps=statistics.fmean(r.steps for r in records) if records else math.nan,
-        mean_replans=0.0,
-        failures=sum(r.failed for r in records),
+    return _cell_result(
+        spec, spec.heuristic, records, traces,
         value_start=value_start, compiled_states=compiled_states,
         solver_stat=solver_stat, exhausted=exhausted,
         plan_time_first=plan_time,
         plan_time_total=plan_time + replan_time[0],
         exec_time_total=exec_time - replan_time[0],
     )
-    return CellResult(report=report, trials=records, traces=traces)
 
 
 def _run_det_cell(
@@ -306,7 +313,6 @@ def _run_det_cell(
 
     records: List[TrialRecord] = []
     traces: List[List[TraceRow]] = []
-    costs: List[float] = []
     plan_time_first = 0.0
     plan_time_total = 0.0
     t0 = time.perf_counter()
@@ -328,25 +334,16 @@ def _run_det_cell(
             trial=trial, config=_config_string(g_mask), cost=out.cost,
             steps=out.steps, replans=out.replans, failed=out.failed,
         ))
-        costs.append(out.cost)
         if collect_traces and out.trace is not None:
             traces.append(out.trace)
     total_time = time.perf_counter() - t0
-
-    mean, stderr = _mean_stderr(costs)
-    report = BenchmarkReport(
-        instance=spec.name, algorithm=spec.algorithm, heuristic="",
-        trials=spec.trials, seed=spec.seed, epsilon=spec.epsilon,
-        mean_cost=mean, stderr_cost=stderr,
-        mean_steps=statistics.fmean(r.steps for r in records) if records else math.nan,
-        mean_replans=statistics.fmean(r.replans for r in records) if records else 0.0,
-        failures=sum(r.failed for r in records),
+    return _cell_result(
+        spec, "", records, traces,
         value_start=None, compiled_states=None, solver_stat=len(cache._plans),
         exhausted=False,
         plan_time_first=plan_time_first, plan_time_total=plan_time_total,
         exec_time_total=total_time - plan_time_total,
     )
-    return CellResult(report=report, trials=records, traces=traces)
 
 
 def run_matrix(

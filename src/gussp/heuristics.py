@@ -127,10 +127,6 @@ class HpgHeuristic:
         return best
 
 
-def h_pg(ssp, x_id: int, oracle: DistanceOracle) -> float:
-    return HpgHeuristic(ssp, oracle)(x_id)
-
-
 class HminHeuristic:
     """Shortest-path cost to a goal in the min-outcome determinized compiled graph.
 
@@ -199,12 +195,6 @@ class HminHeuristic:
                 break
             z = parent[z]
         return answer
-
-
-def h_min(ssp, x_id: int, cache: Optional[HminHeuristic] = None) -> float:
-    if cache is None:
-        cache = HminHeuristic(ssp)
-    return cache(x_id)
 
 
 def zero_heuristic(_x_id: int) -> float:

@@ -255,16 +255,6 @@ def _check_n(n: int) -> None:
         )
 
 
-def posterior_config(prior: GoalPrior, k: KnowledgeVector) -> Dict[int, float]:
-    """Distribution over configuration masks consistent with ``k``."""
-    return prior.posterior(k)
-
-
-def marginal_is_goal(prior: GoalPrior, k: KnowledgeVector, i: int) -> float:
-    """Posterior probability that potential goal ``i`` is a true goal."""
-    return prior.marginal(k, i)
-
-
 class GusspModel:
     """A goal-directed MDP with an uncertain goal set.
 
@@ -315,7 +305,6 @@ class GusspModel:
         potential_goals: Sequence[Hashable],
         prior: GoalPrior,
         landmarks: Optional[Mapping[State, Iterable[Hashable]]] = None,
-        true_goal_set_oracle: Optional[Iterable[Hashable]] = None,
         goal_membership: Optional[Callable[[State], Optional[int]]] = None,
         knowledge_effects: Optional[
             Callable[[State, Action, KnowledgeVector], Optional[Sequence[Tuple[State, float]]]]
@@ -389,7 +378,8 @@ class GusspModel:
             self._sites = tuple(tuple(ss) for ss in sites)
             self._membership = membership
 
-        self._landmark_bits: Dict[State, int] = {}
+        # arrival at s reveals its own membership plus a landmark's vicinity
+        self._reveal: Dict[State, int] = {s: 1 << i for s, i in self._membership.items()}
         for s, vicinity in (landmarks or {}).items():
             if s not in self._state_set:
                 raise InvalidInstance(f"landmark {s!r} is not a base state")
@@ -401,7 +391,7 @@ class GusspModel:
                 mask |= 1 << idx
             if not mask:
                 raise InvalidInstance(f"landmark {s!r} has an empty vicinity")
-            self._landmark_bits[s] = mask
+            self._reveal[s] = self._reveal.get(s, 0) | mask
 
         # observations fire on arrival, so a start state that reveals goal
         # membership would need an extra pre-step observation nothing models
@@ -411,31 +401,17 @@ class GusspModel:
                 "potential goals and landmarks"
             )
 
-        if true_goal_set_oracle is None:
-            self.true_goal_set_oracle: Optional[int] = None
-        else:
-            self.true_goal_set_oracle = self.config_mask(true_goal_set_oracle)
-            if self.true_goal_set_oracle == 0:
-                raise InvalidInstance("true goal set must be nonempty")
-
         if validate:
             self._validate_dynamics()
 
     # -- structure ---------------------------------------------------------
-
-    def goal_index_of(self, s: State) -> Optional[int]:
-        return self._membership.get(s)
 
     def goal_sites(self, i: int) -> Tuple[State, ...]:
         return self._sites[i]
 
     def reveal_indices(self, s: State) -> int:
         """Bitmask of potential goals whose membership arrival at ``s`` reveals."""
-        mask = self._landmark_bits.get(s, 0)
-        i = self._membership.get(s)
-        if i is not None:
-            mask |= 1 << i
-        return mask
+        return self._reveal.get(s, 0)
 
     def config_mask(self, labels: Iterable[Hashable]) -> int:
         if isinstance(labels, int):

@@ -11,7 +11,7 @@ from gussp.compiler import (
 )
 from gussp.determinize import AssumedTargetSsp
 from gussp.domains import load_instance
-from gussp.errors import ImproperModel, StateBudgetExceeded
+from gussp.errors import ImproperModel, ModelError, StateBudgetExceeded
 from gussp.model import GoalPrior, GusspModel, KnowledgeVector
 from gussp.solvers import value_iteration
 
@@ -202,7 +202,7 @@ def assert_rows_match_lazy(ssp, reach):
                 assert cost == ssp.cost(i, a)
 
 
-@pytest.mark.parametrize("name", ["line4", "grid8_landmark", "ev8"])
+@pytest.mark.parametrize("name", ["line4", "grid8_landmark", "ev8", "rover6", "search4"])
 def test_reachable_rows_match_lazy_expansion(name):
     _params, model = load_instance(str(INSTANCES / f"{name}.txt"))
     ssp = compile_gussp(model)
@@ -248,3 +248,58 @@ def test_dead_end_after_revelation_is_improper():
         enumerate_reachable(ssp)
     reach = enumerate_reachable(ssp, require_proper=False)
     assert [str(ssp.state(i)) for i in reach.ids] == ["(0, UU)", "(1, NU)", "(1, GU)", "(2, NU)"]
+
+
+def jump_model(effects_target=3):
+    """0 -> 1 -> 2 -> 3 by ``fwd``; ``jump`` stays put, except that the
+    knowledge hook sends it to ``effects_target`` once goal 3 is confirmed.
+    Arrival at the landmark 1 reveals goal 3, so base state 1 is reached
+    under two knowledge vectors: ``UN`` (first in discovery order) and
+    ``UG``."""
+
+    def effects(s, a, k):
+        if a == "jump" and k.yes & 0b10:
+            return ((effects_target, 1.0),)
+        return None
+
+    return GusspModel(
+        base_states=[0, 1, 2, 3],
+        actions=("fwd", "jump"),
+        transition=lambda s, a: ((min(s + 1, 3) if a == "fwd" else s, 1.0),),
+        cost=lambda s, a: 1.0,
+        start_state=0,
+        potential_goals=(2, 3),
+        prior=GoalPrior.uniform(2),
+        landmarks={1: (3,)},
+        knowledge_effects=effects,
+    )
+
+
+def test_knowledge_hook_is_not_shadowed_by_memoised_base_row():
+    model = jump_model()
+    names = {"UN": KnowledgeVector(2, no=0b10), "UG": KnowledgeVector(2, yes=0b10)}
+    for order in (("UN", "UG"), ("UG", "UN")):
+        ssp = compile_gussp(model)
+        at = {name: ssp.intern(1, names[name]) for name in order}
+        rows = {name: ssp.successors(at[name], "jump") for name in order}
+        assert rows["UN"] == ((at["UN"], 1.0),)  # the base row: stay
+        (j, p), = rows["UG"]
+        assert p == 1.0 and str(ssp.state(j)) == "(3, UG)" and ssp.is_goal(j)
+    # the eager path expands (1, UN) first, memoising the base row the
+    # hook must then override at (1, UG)
+    ssp = compile_gussp(model)
+    reach = enumerate_reachable(ssp)
+    states = [str(ssp.state(i)) for i in reach.ids]
+    assert states.index("(1, UN)") < states.index("(1, UG)")
+    assert_rows_match_lazy(ssp, reach)
+
+
+def test_non_base_successor_is_a_model_error():
+    ssp = compile_gussp(jump_model(effects_target=99))
+    at = ssp.intern(1, KnowledgeVector(2, yes=0b10))
+    with pytest.raises(ModelError, match=r"successor 99 of \(1, UG\) / 'jump' is not a base state"):
+        ssp.successors(at, "jump")
+    with pytest.raises(ModelError, match="successor 99 .* not a base state"):
+        enumerate_reachable(compile_gussp(jump_model(effects_target=99)))
+    with pytest.raises(ModelError, match="99 is not a base state"):
+        ssp.intern(99, KnowledgeVector(2))

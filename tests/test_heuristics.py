@@ -7,8 +7,6 @@ from gussp.heuristics import (
     HminHeuristic,
     HpgHeuristic,
     build_distance_oracle,
-    h_min,
-    h_pg,
     make_heuristic,
     zero_heuristic,
 )
@@ -38,9 +36,10 @@ def test_distance_oracle_slippery_uses_best_outcome():
 def test_hpg_anchor(line4_solved):
     ssp, _reach, _vi = line4_solved
     oracle = build_distance_oracle(ssp.model)
-    assert h_pg(ssp, ssp.start_id, oracle) == pytest.approx(4 / 3)
+    h = HpgHeuristic(ssp, oracle)
+    assert h(ssp.start_id) == pytest.approx(4 / 3)
     for gid in enumerate_reachable(ssp).goal_ids:
-        assert h_pg(ssp, gid, oracle) == 0.0
+        assert h(gid) == 0.0
 
 
 def test_hpg_after_disconfirmation(line4_solved):
@@ -50,12 +49,12 @@ def test_hpg_after_disconfirmation(line4_solved):
     oracle = build_distance_oracle(ssp.model)
     # only the far goal remains: single config, weight (1 - posterior) = 0
     i = ssp.intern((2, 0), KnowledgeVector(2, no=0b01))
-    assert h_pg(ssp, i, oracle) == 0.0
+    assert HpgHeuristic(ssp, oracle)(i) == 0.0
 
 
 def test_hmin_anchor(line4_solved):
     ssp, _reach, _vi = line4_solved
-    assert h_min(ssp, ssp.start_id) == pytest.approx(2.0)
+    assert HminHeuristic(ssp)(ssp.start_id) == pytest.approx(2.0)
 
 
 def test_hmin_cache_stable(line4_solved):
