@@ -17,7 +17,7 @@ from gussp.harness import (
     ALGORITHMS,
     CellSpec,
     format_pretty,
-    run_matrix,
+    run_cell,
     strip_timing,
     write_report_csv,
     write_trials_csv,
@@ -35,8 +35,6 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--epsilon", type=float, default=1e-6)
     parser.add_argument("--flares-horizon", type=float, default=1)
-    parser.add_argument("--threads", type=int, default=None,
-                        help="parallel cells (default: GUSSP_THREADS or 1)")
     parser.add_argument("--out", help="report CSV (default: stdout, pretty)")
     parser.add_argument("--per-trial", help="per-trial CSV path")
     parser.add_argument("--no-timing", action="store_true")
@@ -56,7 +54,7 @@ def main() -> int:
                 flares_horizon=args.flares_horizon,
             )))
 
-    results = run_matrix(jobs, threads=args.threads)
+    results = [run_cell(model, spec) for model, spec in jobs]
     reports = [r.report for r in results]
     if args.no_timing:
         reports = [strip_timing(r) for r in reports]

@@ -44,7 +44,6 @@ from .harness import (
     TrialRecord,
     execute_policy,
     run_cell,
-    run_matrix,
 )
 from .heuristics import (
     DistanceOracle,

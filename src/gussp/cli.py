@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import List, Optional, TextIO
 
 from .arborescence import audit_goal_graph
-from .compiler import DEFAULT_STATE_BUDGET, compile_gussp, dump_compiled, enumerate_reachable
+from .compiler import DEFAULT_STATE_BUDGET, compile_gussp, dump_compiled
 from .errors import GusspError, ModelError
 from .harness import (
     ALGORITHMS,
@@ -148,8 +148,7 @@ def _cmd_arbor(args) -> int:
     optimal = None
     if args.with_value:
         ssp = compile_gussp(model)
-        reachable = enumerate_reachable(ssp)
-        result = value_iteration(ssp, epsilon=args.epsilon, reachable=reachable)
+        result = value_iteration(ssp, epsilon=args.epsilon)
         optimal = result.table.value(ssp.start_id)
     audit = audit_goal_graph(model, optimal_value=optimal)
 

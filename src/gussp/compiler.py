@@ -12,7 +12,8 @@ work on instances far too large to enumerate.  :func:`enumerate_reachable`
 is the eager path used by value iteration, oracles, and debug dumps: its
 breadth-first walk writes a CSR transition matrix over (state, action)
 rows, a cost array and a goal mask straight into :class:`Reachable`,
-without filling the lazy caches.
+without filling the lazy caches.  A fresh SSP numbers its states in that
+walk's discovery order, so the walk's rows are the compiled ids.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, TextIO, Tuple
+from typing import TYPE_CHECKING, Dict, List, TextIO, Tuple
 
 from .errors import ImproperModel, ModelError, StateBudgetExceeded
 from .model import Action, GusspModel, KnowledgeVector, State, PROB_TOL
@@ -30,6 +31,10 @@ if TYPE_CHECKING:
     from scipy import sparse
 
 DEFAULT_STATE_BUDGET = 10_000_000
+_OUT_OF_ORDER = (
+    "compiled ids are not in breadth-first order from the start; "
+    "enumerate a freshly compiled SSP"
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -229,22 +234,22 @@ class CompiledSsp(LazySsp):
 class Reachable:
     """Closed reachable set of a compiled problem, as arrays over its rows.
 
-    Row ``r`` is state ``ids[r]``; rows are in breadth-first discovery order.
+    Row ``r`` is compiled state id ``r``: the SSP numbers its states in the
+    breadth-first order of the walk, so the reachable ids are
+    ``range(len(reach))`` and the goal ids ``np.flatnonzero(reach.goal)``.
     With ``A = len(ssp.actions)``, row ``r * A + a`` of the CSR matrix
     ``transitions`` (shape ``(n * A, n)``) and of ``cost`` is the ``a``-th
-    action at row ``r``: its successors as rows, in ``ssp.successors``
-    order (so indices are not sorted), and ``ssp.cost``.  Goal rows have no
+    action at state ``r``: its successors, in ``ssp.successors`` order (so
+    indices are not sorted), and ``ssp.cost``.  Goal rows have no
     successors and cost zero; ``goal`` marks them.
     """
 
-    ids: List[int]
-    goal_ids: FrozenSet[int]
     goal: "np.ndarray" = field(repr=False)
     cost: "np.ndarray" = field(repr=False)
     transitions: "sparse.csr_matrix" = field(repr=False)
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.goal)
 
 
 def compile_gussp(model: GusspModel, check_properness: bool = True) -> CompiledSsp:
@@ -321,40 +326,45 @@ def enumerate_reachable(
     Every non-goal (state, action) pair is expanded once through
     ``ssp.expand``, and its row goes straight into the arrays of
     :class:`Reachable`; the lazy caches are left alone.  Goal states are
-    absorbing and not expanded.  Raises :class:`StateBudgetExceeded` past
+    absorbing and not expanded.  The walk takes ids ``0, 1, 2, ...`` as its
+    queue: ``expand`` numbers new successors in the order the walk meets
+    them, so on an SSP no lazy solver has touched the start is id 0 and
+    each newly found state is the next id.  Raises :class:`ValueError` if
+    the SSP was numbered otherwise, :class:`StateBudgetExceeded` past
     ``state_budget`` states and, when ``require_proper``,
     :class:`ImproperModel` if some reachable state cannot reach a goal.
     """
     import numpy as np
     from scipy import sparse
 
+    if ssp.start_id != 0:
+        raise ValueError(_OUT_OF_ORDER)
     actions = ssp.actions
-    ids = [ssp.start_id]
-    row_of = {ssp.start_id: 0}
     goal = bytearray()
     indptr, indices, data, cost = array("i", [0]), array("i"), array("d"), array("d")
-    expand, is_goal, row = ssp.expand, ssp.is_goal, row_of.get
+    expand, is_goal = ssp.expand, ssp.is_goal
     add_r, add_p = indices.append, data.append
-    for i in ids:  # ids grows while it is walked: it is the BFS queue
+    i, n = 0, 1  # n: states found so far
+    while i < n:
         g = is_goal(i)
         goal.append(g)
         for a in actions:
             succ, c = ((), 0.0) if g else expand(i, a)
             cost.append(c)
             for j, p in succ:
-                r = row(j)
-                if r is None:
-                    r = row_of[j] = len(ids)
-                    ids.append(j)
-                    if r >= state_budget:
+                if j >= n:
+                    if j != n:
+                        raise ValueError(_OUT_OF_ORDER)
+                    if n >= state_budget:
                         raise StateBudgetExceeded(
                             f"more than {state_budget} reachable compiled states"
                         )
-                add_r(r)
+                    n += 1
+                add_r(j)
                 add_p(p)
             indptr.append(len(indices))
+        i += 1
 
-    n = len(ids)
     goal_mask = np.frombuffer(goal, dtype=bool)
     transitions = sparse.csr_matrix(
         (np.frombuffer(data, dtype=float), np.frombuffer(indices, dtype=np.intc),
@@ -375,7 +385,7 @@ def enumerate_reachable(
                 if not can_finish[r]:
                     can_finish[r] = True
                     stack.append(r)
-        dead = [ids[r] for r in range(n) if not can_finish[r]]
+        dead = [r for r in range(n) if not can_finish[r]]
         if dead:
             raise ImproperModel(
                 f"{len(dead)} reachable states cannot reach a goal, "
@@ -383,8 +393,6 @@ def enumerate_reachable(
             )
 
     return Reachable(
-        ids=ids,
-        goal_ids=frozenset(i for i, g in zip(ids, goal) if g),
         goal=goal_mask,
         cost=np.frombuffer(cost, dtype=float),
         transitions=transitions,
@@ -399,15 +407,20 @@ def dump_compiled(
     """Write the reachable compiled graph, one state per line.
 
     Format: ``state_id  s  k  [a->(state_id,p),...]`` with actions in model
-    order, omitted for goal states.
+    order, omitted for goal states.  Rows are read from
+    :func:`enumerate_reachable`'s arrays, so the lazy caches stay empty.
     """
-    for i in enumerate_reachable(ssp, state_budget=state_budget).ids:
+    reach = enumerate_reachable(ssp, state_budget=state_budget)
+    m, n_actions = reach.transitions, len(ssp.actions)
+    ptr, cols, probs = m.indptr.tolist(), m.indices.tolist(), m.data.tolist()
+    for i, g in enumerate(reach.goal.tolist()):
         x = ssp.state(i)
-        if ssp.is_goal(i):
+        if g:
             stream.write(f"{i}  {x.s!r}  {x.k}  goal\n")
             continue
         parts = []
-        for a in ssp.actions:
-            succ = ",".join(f"({j},{p:.9g})" for j, p in ssp.successors(i, a))
+        for r, a in enumerate(ssp.actions, i * n_actions):
+            lo, hi = ptr[r], ptr[r + 1]
+            succ = ",".join(f"({j},{p:.9g})" for j, p in zip(cols[lo:hi], probs[lo:hi]))
             parts.append(f"{a}->{succ}")
         stream.write(f"{i}  {x.s!r}  {x.k}  [{'; '.join(parts)}]\n")

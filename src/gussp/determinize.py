@@ -26,10 +26,10 @@ from .model import (
     KnowledgeVector,
     State,
     Status,
-    observe,
     apply_observation,
+    step_world,
 )
-from .rng import derive_seed, sample_row
+from .rng import derive_seed
 from .solvers import ValueTable, lao_star, value_iteration
 from .harness_types import TraceRow
 
@@ -312,10 +312,7 @@ def execute_determinized(
             a = plan.policy.get(sid)
             if a is None:
                 raise NoEligibleGoal(f"plan for target {plan.target} has no action at {s!r}")
-        paid = model.step_cost(s, a, k_world)
-        rows = model.transition_rows(s, a, k_world)
-        s2 = sample_row(list(rows), rng)
-        obs = observe(model, s2, g_mask)
+        s2, paid, obs = step_world(model, s, a, g_mask, k_world, rng)
         k2 = apply_observation(k, obs)
         if trace is not None:
             trace.append(TraceRow(steps, s, str(k), a, cost, str(obs)))

@@ -13,10 +13,8 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-import os
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, TextIO, Tuple
 
@@ -132,6 +130,7 @@ def execute_policy(
     value table."""
     s = model.start_state
     k = model.knowledge_all_unknown()
+    k_true = model.collapsed_knowledge(g_mask)
     i = ssp.intern(s, k)
     cost = 0.0
     steps = 0
@@ -142,7 +141,7 @@ def execute_policy(
         a = replan(i) if replan is not None else policy.get(i)
         if a is None:
             a = greedy_action(ssp, table, i)
-        s2, paid, obs = step_world(model, s, a, g_mask, rng)
+        s2, paid, obs = step_world(model, s, a, g_mask, k_true, rng)
         k2 = apply_observation(k, obs)
         if trace is not None:
             trace.append(TraceRow(steps, s, str(k), a, cost, str(obs)))
@@ -344,21 +343,6 @@ def _run_det_cell(
         plan_time_first=plan_time_first, plan_time_total=plan_time_total,
         exec_time_total=total_time - plan_time_total,
     )
-
-
-def run_matrix(
-    jobs: Sequence[Tuple[GusspModel, CellSpec]],
-    *,
-    threads: Optional[int] = None,
-) -> List[CellResult]:
-    """Run many cells, optionally in parallel (GUSSP_THREADS or ``threads``)."""
-    if threads is None:
-        threads = int(os.environ.get("GUSSP_THREADS", "1"))
-    if threads <= 1:
-        return [run_cell(model, spec) for model, spec in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(run_cell, model, spec) for model, spec in jobs]
-        return [f.result() for f in futures]
 
 
 # -- output formatting -------------------------------------------------------

@@ -29,6 +29,7 @@ from .errors import (
     ModelError,
     TooManyGoals,
 )
+from .rng import sample_row
 
 State = Hashable
 Action = Hashable
@@ -530,17 +531,21 @@ def apply_observation(k: KnowledgeVector, obs: Observation) -> KnowledgeVector:
 
 
 def step_world(
-    model: GusspModel, s: State, a: Action, g_mask: int, rng: random.Random
+    model: GusspModel,
+    s: State,
+    a: Action,
+    g_mask: int,
+    k_true: KnowledgeVector,
+    rng: random.Random,
 ) -> Tuple[State, float, Observation]:
     """One environment step under the true configuration ``g_mask``.
 
-    Outcomes and costs come from the model evaluated at the fully collapsed
-    knowledge vector of ``g_mask`` (the world knows the truth); the returned
-    observation is what the agent gets to see.
+    Outcomes and costs come from the model evaluated at ``k_true``, the
+    fully collapsed knowledge vector of ``g_mask`` (the world knows the
+    truth); callers build it once per episode with
+    ``model.collapsed_knowledge(g_mask)``.  The returned observation is
+    what the agent gets to see.
     """
-    from .rng import sample_row
-
-    k_true = model.collapsed_knowledge(g_mask)
     paid = model.step_cost(s, a, k_true)
     rows = model.transition_rows(s, a, k_true)
     s2 = sample_row(list(rows), rng)

@@ -97,7 +97,6 @@ class VIResult:
     table: ValueTable
     policy: Policy
     sweeps: int
-    reachable: Reachable
 
 
 def value_iteration(
@@ -105,15 +104,14 @@ def value_iteration(
     *,
     epsilon: float = 1e-6,
     max_sweeps: int = 100_000,
-    init: Optional[Heuristic] = None,
     reachable: Optional[Reachable] = None,
     on_sweep: Optional[Callable[[int, float, object], None]] = None,
 ) -> VIResult:
     """Synchronous value iteration over the enumerated reachable set.
 
-    Sweeps are Jacobi-style, so with an admissible ``init`` the value of
-    every state is nondecreasing across sweeps.  ``on_sweep(sweep, residual,
-    values)`` is invoked after each sweep (``values`` is read-only).  Raises
+    Sweeps are Jacobi-style from zero, so the value of every state is
+    nondecreasing across sweeps.  ``on_sweep(sweep, residual, values)`` is
+    invoked after each sweep (``values`` is read-only).  Raises
     :class:`NonConvergence` if the residual does not drop below ``epsilon``
     within ``max_sweeps``.  The policy is the per-row argmin of the
     Q-values, computed with the same arithmetic as :func:`bellman_backup`,
@@ -121,26 +119,25 @@ def value_iteration(
     """
     if reachable is None:
         reachable = enumerate_reachable(ssp)
-    v, sweeps = _vi_sweeps(reachable, epsilon, max_sweeps, init, on_sweep)
+    v, sweeps = _vi_sweeps(reachable, epsilon, max_sweeps, on_sweep)
     best = _greedy_rows(reachable, v)
 
-    ids = reachable.ids
-    table = ValueTable(epsilon=epsilon, values=dict(zip(ids, v.tolist())))
+    # row i of the arrays is compiled state i
+    table = ValueTable(epsilon=epsilon, values=dict(enumerate(v.tolist())))
     actions = ssp.actions
     policy = {
         i: actions[b]
-        for i, b, g in zip(ids, best.tolist(), reachable.goal.tolist())
+        for i, (b, g) in enumerate(zip(best.tolist(), reachable.goal.tolist()))
         if not g
     }
     table.greedy.update(policy)
-    return VIResult(table=table, policy=Policy(policy), sweeps=sweeps, reachable=reachable)
+    return VIResult(table=table, policy=Policy(policy), sweeps=sweeps)
 
 
-def _vi_sweeps(reachable: Reachable, epsilon, max_sweeps, init, on_sweep):
+def _vi_sweeps(reachable: Reachable, epsilon, max_sweeps, on_sweep):
     import numpy as np
 
-    ids = reachable.ids
-    n = len(ids)
+    n = len(reachable)
     goal = reachable.goal
     # action-major rows, so the min over actions reads contiguous blocks;
     # sweeps add each row in column order, as a COO-built matrix stores it
@@ -150,10 +147,6 @@ def _vi_sweeps(reachable: Reachable, epsilon, max_sweeps, init, on_sweep):
     c = reachable.cost[order]
 
     v = np.zeros(n)
-    if init is not None:
-        for r, i in enumerate(ids):
-            if not goal[r]:
-                v[r] = init(i)
     for sweep in range(1, max_sweeps + 1):
         q = (c + m.dot(v)).reshape(-1, n).min(axis=0)
         q[goal] = 0.0

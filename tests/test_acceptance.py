@@ -184,7 +184,7 @@ def test_criterion_03_heuristics_admissible(bundled_solved, small_grids_solved):
         oracle = build_distance_oracle(model)
         hpg = make_heuristic("hpg", ssp, oracle)
         hmin = make_heuristic("hmin", ssp)
-        for i in reach.ids:
+        for i in range(len(reach)):
             v = vi.table.value(i)
             worst = max(worst, hpg(i) - v, hmin(i) - v)
             checked += 1
@@ -207,10 +207,11 @@ def test_criterion_04_enumeration_and_monotone_knowledge(bundled):
         for trial in range(10_000):
             rng = make_rng("walk", 4, trial)
             g_mask = model.sample_config(rng)
+            k_true = model.collapsed_knowledge(g_mask)
             s, k = model.start_state, KnowledgeVector(n)
             for _ in range(30):
                 a = rng.choice(model.actions)
-                s, _paid, obs = step_world(model, s, a, g_mask, rng)
+                s, _paid, obs = step_world(model, s, a, g_mask, k_true, rng)
                 k2 = apply_observation(k, obs)
                 for i in range(n):
                     st = k.status_of(i)

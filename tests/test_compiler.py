@@ -1,6 +1,7 @@
 import io
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gussp.compiler import (
@@ -20,7 +21,7 @@ INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 def test_line4_reachable_set_frozen(line4_model, line4_solved):
     ssp, reach, _vi = line4_solved
-    seen = {(ssp.state(i).s, str(ssp.state(i).k)) for i in reach.ids}
+    seen = {(ssp.state(i).s, str(ssp.state(i).k)) for i in range(len(reach))}
     assert seen == {
         ((0, 0), "UU"),
         ((1, 0), "UU"),
@@ -31,7 +32,7 @@ def test_line4_reachable_set_frozen(line4_model, line4_solved):
         ((3, 0), "NG"),
     }
     assert len(reach) == 7
-    goals = {(ssp.state(i).s, str(ssp.state(i).k)) for i in reach.goal_ids}
+    goals = {(ssp.state(i).s, str(ssp.state(i).k)) for i in np.flatnonzero(reach.goal)}
     assert goals == {((2, 0), "GU"), ((3, 0), "NG")}
 
 
@@ -60,7 +61,7 @@ def test_forced_revelation_when_one_config_left(line4_solved):
 
 def test_goal_states_absorbing_zero_cost(line4_solved):
     ssp, reach, _vi = line4_solved
-    for i in reach.goal_ids:
+    for i in np.flatnonzero(reach.goal).tolist():
         for a in ssp.actions:
             assert ssp.successors(i, a) == ((i, 1.0),)
             assert ssp.cost(i, a) == 0.0
@@ -90,6 +91,61 @@ def test_dump_compiled_format(line4_model):
     assert "right->(1,1)" in lines[0]
     goal_lines = [ln for ln in lines if ln.endswith("goal")]
     assert len(goal_lines) == 2
+
+
+def lazy_dump(ssp):
+    """``dump_compiled``'s format, rendered by a breadth-first walk over the
+    lazy ``successors``."""
+    order, seen, out = [ssp.start_id], {ssp.start_id}, []
+    for i in order:
+        x = ssp.state(i)
+        if ssp.is_goal(i):
+            out.append(f"{i}  {x.s!r}  {x.k}  goal\n")
+            continue
+        parts = []
+        for a in ssp.actions:
+            succ = ssp.successors(i, a)
+            for j, _p in succ:
+                if j not in seen:
+                    seen.add(j)
+                    order.append(j)
+            parts.append(f"{a}->" + ",".join(f"({j},{p:.9g})" for j, p in succ))
+        out.append(f"{i}  {x.s!r}  {x.k}  [{'; '.join(parts)}]\n")
+    return "".join(out)
+
+
+@pytest.mark.parametrize("name", ["line4", "grid8_landmark", "ev8", "rover6", "search4"])
+def test_dump_compiled_matches_lazy_rendering(name):
+    _params, model = load_instance(str(INSTANCES / f"{name}.txt"))
+    ssp = compile_gussp(model)
+    buf = io.StringIO()
+    dump_compiled(ssp, buf)
+    # the dump reads the enumerated arrays and never fills the lazy caches
+    assert not ssp._succ_cache and not ssp._cost_cache
+    assert buf.getvalue() == lazy_dump(compile_gussp(model))
+
+
+def test_out_of_order_ssp_is_rejected(line4_model):
+    ssp = compile_gussp(line4_model)
+    # interned ahead of the walk, so the walk would meet it out of order
+    ssp.intern((3, 0), KnowledgeVector(2, no=0b01, yes=0b10))
+    with pytest.raises(ValueError, match="breadth-first order"):
+        enumerate_reachable(ssp)
+    # a start other than id 0 cannot head the walk's numbering either
+    ssp = compile_gussp(line4_model)
+    ssp.start_id = ssp.intern((1, 0), KnowledgeVector(2))
+    with pytest.raises(ValueError, match="breadth-first order"):
+        enumerate_reachable(ssp)
+
+
+def test_rows_are_compiled_ids_after_partial_lazy_expansion(line4_model):
+    # lazily expanding the start numbers its successors in walk order too
+    ssp = compile_gussp(line4_model)
+    for a in ssp.actions:
+        ssp.successors(ssp.start_id, a)
+    reach = enumerate_reachable(ssp)
+    assert len(reach) == len(ssp) == 7
+    assert_rows_match_lazy(ssp, reach)
 
 
 def one_way_model():
@@ -186,16 +242,16 @@ def test_hook_domain_exit_cost_folded():
 
 def assert_rows_match_lazy(ssp, reach):
     """Every array row equals the lazy ``successors``/``cost`` of its pair."""
-    ids, m = reach.ids, reach.transitions
+    m, n = reach.transitions, len(reach)
     n_actions = len(ssp.actions)
-    assert m.shape == (len(ids) * n_actions, len(ids))
-    for r, i in enumerate(ids):
-        assert bool(reach.goal[r]) == ssp.is_goal(i)
+    assert m.shape == (n * n_actions, n)
+    for i in range(n):
+        assert bool(reach.goal[i]) == ssp.is_goal(i)
         for a_pos, a in enumerate(ssp.actions):
-            lo, hi = m.indptr[r * n_actions + a_pos], m.indptr[r * n_actions + a_pos + 1]
-            row = [(ids[c], p) for c, p in zip(m.indices[lo:hi].tolist(), m.data[lo:hi].tolist())]
-            cost = reach.cost[r * n_actions + a_pos]
-            if reach.goal[r]:
+            lo, hi = m.indptr[i * n_actions + a_pos], m.indptr[i * n_actions + a_pos + 1]
+            row = list(zip(m.indices[lo:hi].tolist(), m.data[lo:hi].tolist()))
+            cost = reach.cost[i * n_actions + a_pos]
+            if reach.goal[i]:
                 assert row == [] and cost == 0.0
             else:
                 assert row == list(ssp.successors(i, a))
@@ -219,7 +275,7 @@ def test_assumed_target_ssp_enumerates_into_arrays(line4_model):
     ssp = AssumedTargetSsp(line4_model, k, target=0)
     reach = enumerate_reachable(ssp)
     assert not ssp._succ_cache and not ssp._cost_cache
-    assert [ssp.state(i) for i in reach.ids] == [(0, 0), (1, 0), (2, 0)]
+    assert [ssp.state(i) for i in range(len(reach))] == [(0, 0), (1, 0), (2, 0)]
     assert_rows_match_lazy(ssp, reach)
     vi = value_iteration(ssp, reachable=reach)
     assert vi.table.value(ssp.start_id) == 2.0
@@ -247,7 +303,7 @@ def test_dead_end_after_revelation_is_improper():
     with pytest.raises(ImproperModel, match=r"2 reachable states .* e\.g\. \(1, NU\)"):
         enumerate_reachable(ssp)
     reach = enumerate_reachable(ssp, require_proper=False)
-    assert [str(ssp.state(i)) for i in reach.ids] == ["(0, UU)", "(1, NU)", "(1, GU)", "(2, NU)"]
+    assert [str(ssp.state(i)) for i in range(len(reach))] == ["(0, UU)", "(1, NU)", "(1, GU)", "(2, NU)"]
 
 
 def jump_model(effects_target=3):
@@ -289,7 +345,7 @@ def test_knowledge_hook_is_not_shadowed_by_memoised_base_row():
     # hook must then override at (1, UG)
     ssp = compile_gussp(model)
     reach = enumerate_reachable(ssp)
-    states = [str(ssp.state(i)) for i in reach.ids]
+    states = [str(ssp.state(i)) for i in range(len(reach))]
     assert states.index("(1, UN)") < states.index("(1, UG)")
     assert_rows_match_lazy(ssp, reach)
 

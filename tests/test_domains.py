@@ -262,4 +262,4 @@ def test_frozen_reachable_counts(name, expected):
     _params, model = load_instance(INSTANCE_DIR / name)
     ssp = compile_gussp(model)
     reach = enumerate_reachable(ssp, state_budget=200_000)
-    assert len(reach.ids) == expected
+    assert len(reach) == expected

@@ -1,7 +1,8 @@
 """Frozen enumerated arrays on the bundled instances.
 
 Each digest is a sha256 over the ``Reachable`` arrays that
-``enumerate_reachable`` writes: the compiled state id of every row, the CSR
+``enumerate_reachable`` writes: the compiled state id of every row (the row
+number itself, since rows are compiled ids), the CSR
 ``indptr``, ``indices`` and ``data`` of ``transitions``, ``cost`` and
 ``goal``, each as its raw bytes at a fixed dtype.  A compiler change that
 renumbers a state, reorders a row or moves a probability or a cost by one
@@ -35,7 +36,7 @@ def reachable_digest(reach) -> str:
     h = hashlib.sha256()
     m = reach.transitions
     for arr, dtype in (
-        (reach.ids, np.int64),
+        (range(len(reach)), np.int64),
         (m.indptr, np.int64),
         (m.indices, np.int64),
         (m.data, np.float64),

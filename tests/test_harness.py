@@ -10,7 +10,6 @@ from gussp.harness import (
     execute_policy,
     format_pretty,
     run_cell,
-    run_matrix,
     strip_timing,
     write_report_csv,
     write_trials_csv,
@@ -84,16 +83,6 @@ def test_csv_headers_match_dataclasses(line4_model):
     buf = io.StringIO()
     write_trials_csv(buf, result.trials)
     assert buf.getvalue().splitlines()[0].split(",") == TRIAL_FIELDS
-
-
-def test_run_matrix_matches_sequential(line4_model):
-    jobs = [
-        (line4_model, CellSpec(name="line4", algorithm=a, trials=5, seed=3))
-        for a in ("vi", "lao", "flares", "det-mlg", "det-cg")
-    ]
-    seq = run_matrix(jobs, threads=1)
-    par = run_matrix(jobs, threads=3)
-    assert _csv_of(seq) == _csv_of(par)
 
 
 def test_flares_cell_uses_online_execution(line4_model):

@@ -38,8 +38,10 @@ def test_hpg_anchor(line4_solved):
     oracle = build_distance_oracle(ssp.model)
     h = HpgHeuristic(ssp, oracle)
     assert h(ssp.start_id) == pytest.approx(4 / 3)
-    for gid in enumerate_reachable(ssp).goal_ids:
-        assert h(gid) == 0.0
+    reach = enumerate_reachable(ssp)
+    for gid in range(len(reach)):
+        if reach.goal[gid]:
+            assert h(gid) == 0.0
 
 
 def test_hpg_after_disconfirmation(line4_solved):
@@ -74,7 +76,7 @@ def _assert_admissible(model, tol=1e-9):
     oracle = build_distance_oracle(model)
     hpg = HpgHeuristic(ssp, oracle)
     hmin = HminHeuristic(ssp)
-    for i in reach.ids:
+    for i in range(len(reach)):
         v = vi.table.value(i)
         assert zero_heuristic(i) <= v + tol
         assert hpg(i) <= v + tol, f"hpg violates admissibility at {ssp.state(i)}"

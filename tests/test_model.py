@@ -278,10 +278,11 @@ class TestObserveAndStep:
         rng = random.Random(seed)
         g = m.sample_config(rng)
         k = m.knowledge_all_unknown()
+        k_true = m.collapsed_knowledge(g)
         s = m.start_state
         for _ in range(6):
             a = rng.choice(m.actions)
-            s, _cost, obs = step_world(m, s, a, g, rng)
+            s, _cost, obs = step_world(m, s, a, g, k_true, rng)
             k = apply_observation(k, obs)
             assert k.is_consistent_with(g)
 

@@ -68,7 +68,7 @@ def test_vi_matches_belief_space_oracle(small_grids):
         ref, _v0 = belief_space_values(model)
         by_support = {(s, frozenset(g for g, _p in b)): v for (s, b), v in ref.items()}
         configs = [g for g, p in model.prior.config_probs().items() if p > 0.0]
-        for i in reach.ids:
+        for i in range(len(reach)):
             x = ssp.state(i)
             support = frozenset(g for g in configs if x.k.is_consistent_with(g))
             assert vi.table.value(i) == pytest.approx(by_support[(x.s, support)], abs=1e-7)
@@ -95,8 +95,8 @@ def test_vi_nonconvergence_raises(line4_solved):
 
 def test_vi_policy_covers_nongoal_states(line4_solved):
     ssp, reach, vi = line4_solved
-    for i in reach.ids:
-        if i in reach.goal_ids:
+    for i in range(len(reach)):
+        if reach.goal[i]:
             assert vi.policy.get(i) is None
         else:
             assert vi.policy.get(i) is not None
@@ -105,7 +105,7 @@ def test_vi_policy_covers_nongoal_states(line4_solved):
 def test_vi_policy_equals_per_state_backup(small_grids_solved):
     # the vectorised argmin reproduces bellman_backup's fold, ties included
     for _params, _model, ssp, reach, vi in small_grids_solved:
-        for i in reach.ids:
+        for i in range(len(reach)):
             assert vi.policy.get(i) == bellman_backup(ssp, vi.table, i)[1]
 
 
