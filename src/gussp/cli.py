@@ -96,10 +96,14 @@ def _cmd_plan(args) -> int:
         state_budget=args.state_budget,
     )
 
+    ssp = reachable = None
     if args.dump_compiled:
-        ssp = compile_gussp(model)
+        dumped = compile_gussp(model)
         with open(args.dump_compiled, "w", encoding="utf-8") as fh:
-            dump_compiled(ssp, fh, state_budget=args.state_budget)
+            dumped_reach = dump_compiled(dumped, fh, state_budget=args.state_budget)
+        if args.algorithm == "vi":
+            # lazy solvers compile their own: compiled_states counts what they touch
+            ssp, reachable = dumped, dumped_reach
 
     sweep_log: Optional[TextIO] = None
     on_sweep = None
@@ -116,6 +120,8 @@ def _cmd_plan(args) -> int:
     try:
         result = run_cell(
             model, spec,
+            ssp=ssp,
+            reachable=reachable,
             collect_traces=args.trace is not None,
             on_sweep=on_sweep,
         )

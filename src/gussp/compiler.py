@@ -156,7 +156,7 @@ class CompiledSsp(LazySsp):
             return cached
         k = self._kvs[kid]
         patterns: Dict[int, float] = {}
-        for mask, p in self.model.prior.posterior(k).items():
+        for mask, p in zip(*self.model.prior.posterior(k)):
             pat = mask & revealed
             patterns[pat] = patterns.get(pat, 0.0) + p
         branches = tuple(
@@ -403,8 +403,9 @@ def dump_compiled(
     ssp: CompiledSsp,
     stream: TextIO,
     state_budget: int = DEFAULT_STATE_BUDGET,
-) -> None:
-    """Write the reachable compiled graph, one state per line.
+) -> Reachable:
+    """Write the reachable compiled graph, one state per line, and return
+    the :class:`Reachable` it was read from.
 
     Format: ``state_id  s  k  [a->(state_id,p),...]`` with actions in model
     order, omitted for goal states.  Rows are read from
@@ -424,3 +425,4 @@ def dump_compiled(
             succ = ",".join(f"({j},{p:.9g})" for j, p in zip(cols[lo:hi], probs[lo:hi]))
             parts.append(f"{a}->{succ}")
         stream.write(f"{i}  {x.s!r}  {x.k}  [{'; '.join(parts)}]\n")
+    return reach

@@ -87,8 +87,12 @@ class HpgHeuristic:
     The defining form is a minimum over consistent configurations g of
     ``(1 - b(g)) * min_{i in g} d(s, i)``.  Swapping the two minima gives
     ``min_i m_i(k) * d(s, i)`` with ``m_i(k) = min_{g containing i}
-    (1 - b(g))``, so one pass over the posterior per knowledge vector is
-    enough and each evaluation costs O(n_goals)."""
+    (1 - b(g))``.  Since ``fl(1 - x)`` is monotone, ``m_i(k)`` is ``1 -
+    b(g)`` for the most probable consistent g that holds ``i``: one scan of
+    the posterior from its largest mass down, stopped once every possible
+    goal is covered, gives all of them, exactly as a minimum over the whole
+    posterior would.  A value depends only on the compiled id, so each id
+    is evaluated once."""
 
     def __init__(self, ssp, oracle: DistanceOracle):
         self.ssp = ssp
@@ -96,20 +100,35 @@ class HpgHeuristic:
         self.prior = ssp.model.prior
         # per knowledge vector: cheapest complement mass per goal index
         self._mult: Dict[KnowledgeVector, List[float]] = {}
+        self._memo: Dict[int, float] = {}
 
     def _multipliers(self, k: KnowledgeVector) -> List[float]:
         mult = self._mult.get(k)
         if mult is None:
             mult = [INF] * self.prior.n
-            for mask, p in self.prior.posterior(k).items():
-                weight = 1.0 - p
-                for i in bits_of(mask):
-                    if weight < mult[i]:
+            masks, probs = self.prior.posterior(k)
+            todo = k.yes | k.unknown_mask
+            # largest mass first; the sort is stable, so among equal masses
+            # the larger mask, which covers more goals, comes first
+            for j in sorted(range(len(masks) - 1, -1, -1), key=probs.__getitem__, reverse=True):
+                new = masks[j] & todo
+                if new:
+                    weight = 1.0 - probs[j]
+                    for i in bits_of(new):
                         mult[i] = weight
+                    todo ^= new
+                    if not todo:
+                        break
             self._mult[k] = mult
         return mult
 
     def __call__(self, x_id: int) -> float:
+        v = self._memo.get(x_id)
+        if v is None:
+            v = self._memo[x_id] = self._evaluate(x_id)
+        return v
+
+    def _evaluate(self, x_id: int) -> float:
         if self.ssp.is_goal(x_id):
             return 0.0
         x = self.ssp.state(x_id)

@@ -19,7 +19,10 @@ from __future__ import annotations
 
 import enum
 import random
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, compress
 from typing import Callable, Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
@@ -160,13 +163,21 @@ class GoalPrior:
     * ``explicit``: arbitrary weights per configuration mask (normalized).
     * ``bernoulli``: independent per-goal marginals, conditioned on the
       configuration being nonempty.
+
+    Every constructor stores the masses in increasing mask order.  Queries
+    given a knowledge vector walk only the configurations consistent with
+    it, in that order, so their sums fold exactly as a filter over all
+    configurations would.
     """
 
     def __init__(self, kind: str, n: int, probs: Dict[int, float]):
         self.kind = kind
         self.n = n
         self._probs = probs
-        self._posterior_cache: Dict[Tuple[int, int], Dict[int, float]] = {}
+        # keyed by (k.yes << n) | k.no
+        self._posterior_cache: Dict[int, Tuple[array, array]] = {}
+        self._marginal_cache: Dict[int, List[float]] = {}
+        self._cumulative: Optional[Tuple[List[int], List[float]]] = None
 
     @classmethod
     def uniform(cls, n: int) -> "GoalPrior":
@@ -215,26 +226,38 @@ class GoalPrior:
     def config_probs(self) -> Dict[int, float]:
         return dict(self._probs)
 
-    def posterior(self, k: KnowledgeVector) -> Dict[int, float]:
-        """Prior conditioned on the knowledge vector.
+    def posterior(self, k: KnowledgeVector) -> Tuple[array, array]:
+        """Prior conditioned on the knowledge vector, as two arrays: the
+        consistent configuration masks in increasing order (``'q'``) and
+        their probabilities (``'d'``).
 
         Raises :class:`InconsistentKnowledge` when no configuration with
         positive mass matches ``k``.
         """
-        key = (k.yes, k.no)
+        key = (k.yes << k.n) | k.no
         cached = self._posterior_cache.get(key)
         if cached is not None:
             return cached
-        required, forbidden = k.yes, k.no
-        sel = {
-            m: p
-            for m, p in self._probs.items()
-            if (m & required) == required and not (m & forbidden)
-        }
-        total = sum(sel.values())
+        probs, yes, u = self._probs, k.yes, k.unknown_mask
+        masks = array("q")
+        if 1 << u.bit_count() <= len(probs):
+            # submasks of u in increasing order; yes is disjoint from u
+            sub = 0
+            while True:
+                m = yes | sub
+                if m in probs:
+                    masks.append(m)
+                if sub == u:
+                    break
+                sub = (sub - u) & u
+        else:  # a sparse prior: filtering it visits fewer configurations
+            fixed = yes | k.no
+            masks.extend(m for m in probs if (m & fixed) == yes)
+        sel = [probs[m] for m in masks]
+        total = sum(sel)
         if total <= 0:
             raise InconsistentKnowledge(f"no configuration consistent with {k}")
-        post = {m: p / total for m, p in sel.items()}
+        post = masks, array("d", [p / total for p in sel])
         self._posterior_cache[key] = post
         return post
 
@@ -244,7 +267,24 @@ class GoalPrior:
             return 1.0
         if k.no & bit:
             return 0.0
-        return sum(p for m, p in self.posterior(k).items() if m & bit)
+        key = (k.yes << k.n) | k.no
+        row = self._marginal_cache.get(key)
+        if row is None:
+            masks, probs = self.posterior(k)
+            # per goal, the posterior mass of the configurations holding it,
+            # summed in posterior order
+            row = self._marginal_cache[key] = [
+                sum(compress(probs, map((1 << j).__and__, masks))) for j in range(self.n)
+            ]
+        return row[i]
+
+    def config_at(self, u: float) -> int:
+        """The configuration a uniform draw ``u`` selects: the first, in mask
+        order, whose running mass exceeds ``u``, or the last one."""
+        if self._cumulative is None:
+            self._cumulative = list(self._probs), list(accumulate(self._probs.values()))
+        masks, cumulative = self._cumulative
+        return masks[min(bisect_right(cumulative, u), len(masks) - 1)]
 
 
 def _check_n(n: int) -> None:
@@ -470,14 +510,7 @@ class GusspModel:
         return self._membership.get(s) == target
 
     def sample_config(self, rng: random.Random) -> int:
-        u = rng.random()
-        acc = 0.0
-        items = self.prior.config_probs()
-        for mask, p in items.items():
-            acc += p
-            if u < acc:
-                return mask
-        return next(reversed(items))
+        return self.prior.config_at(rng.random())
 
     # -- validation --------------------------------------------------------
 

@@ -322,10 +322,6 @@ def flares(
     def solved(i: int) -> bool:
         return i in labeled or ssp.is_goal(i)
 
-    def residual_of(i: int) -> float:
-        v, _, _ = bellman_backup(ssp, table, i)
-        return abs(v - table.value(i))
-
     def check_depth_solved(i: int) -> bool:
         ok = True
         closed: List[int] = []
@@ -336,10 +332,10 @@ def flares(
             if solved(j):
                 continue
             closed.append(j)
-            if residual_of(j) > epsilon:
+            _, a, residual = bellman_backup(ssp, table, j)
+            if residual > epsilon:
                 ok = False
             if d < t:
-                _, a, _ = bellman_backup(ssp, table, j)
                 for j2, _p in ssp.successors(j, a):
                     if j2 not in seen:
                         seen.add(j2)

@@ -169,3 +169,70 @@ def brute_force_arborescence(
             best_w = w
             best_parent = dict(parent)
     return best_w, best_parent
+
+
+# -- goal-prior queries, as loops over every configuration -------------------
+#
+# The library answers these by walking only the configurations consistent
+# with a knowledge vector.  These are the plain loops it replaced; the tests
+# require exactly equal floats, so each keeps the original order of every sum.
+
+
+def posterior_reference(prior, k: KnowledgeVector) -> Dict[int, float]:
+    """Filter all configurations, then divide by their mass (insertion order
+    is mask order)."""
+    sel = {
+        m: p
+        for m, p in prior.config_probs().items()
+        if (m & k.yes) == k.yes and not (m & k.no)
+    }
+    total = sum(sel.values())
+    return {m: p / total for m, p in sel.items()}
+
+
+def hpg_multipliers_reference(prior, k: KnowledgeVector) -> List[float]:
+    """``m_i = min over consistent g holding i of (1 - b(g))``, ``inf`` when
+    no consistent configuration holds goal ``i``."""
+    mult = [math.inf] * prior.n
+    for mask, p in posterior_reference(prior, k).items():
+        weight = 1.0 - p
+        for i in range(prior.n):
+            if mask >> i & 1 and weight < mult[i]:
+                mult[i] = weight
+    return mult
+
+
+def revelation_reference(
+    prior, k: KnowledgeVector, revealed: int
+) -> List[Tuple[KnowledgeVector, float]]:
+    """Posterior mass of each pattern the goals in ``revealed`` can show,
+    by pattern, as (updated knowledge vector, probability)."""
+    patterns: Dict[int, float] = {}
+    for mask, p in posterior_reference(prior, k).items():
+        pat = mask & revealed
+        patterns[pat] = patterns.get(pat, 0.0) + p
+    return [
+        (k.confirm(yes=pat, no=revealed & ~pat), prob)
+        for pat, prob in sorted(patterns.items())
+        if prob > 0.0
+    ]
+
+
+def marginal_reference(prior, k: KnowledgeVector, i: int) -> float:
+    bit = 1 << i
+    if k.yes & bit:
+        return 1.0
+    if k.no & bit:
+        return 0.0
+    return sum(p for m, p in posterior_reference(prior, k).items() if m & bit)
+
+
+def sample_config_reference(prior, u: float) -> int:
+    """The first configuration whose running mass exceeds ``u``, else the last."""
+    acc = 0.0
+    items = prior.config_probs()
+    for mask, p in items.items():
+        acc += p
+        if u < acc:
+            return mask
+    return next(reversed(items))

@@ -63,6 +63,32 @@ def test_plan_side_outputs(tmp_path):
     assert residuals[-1] <= 1e-6
 
 
+@pytest.mark.parametrize("algorithm", ["vi", "lao"])
+def test_dump_compiled_enumerates_once(tmp_path, monkeypatch, algorithm):
+    import gussp.compiler
+    import gussp.harness
+    import gussp.solvers
+
+    calls = []
+    real = gussp.compiler.enumerate_reachable
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    for module in (gussp.compiler, gussp.harness, gussp.solvers):
+        monkeypatch.setattr(module, "enumerate_reachable", counting)
+    plain, dumped = tmp_path / "plain.csv", tmp_path / "dumped.csv"
+    argv = ("plan", LINE4, "--algorithm", algorithm, "--trials", "3", "--no-timing")
+    assert run_cli(*argv, "--out", str(plain)) == 0
+    calls.clear()
+    assert run_cli(*argv, "--out", str(dumped),
+                   "--dump-compiled", str(tmp_path / "compiled.txt")) == 0
+    # the dump's enumeration serves vi; lazy solvers compile their own SSP
+    assert len(calls) == 1
+    assert dumped.read_bytes() == plain.read_bytes()
+
+
 def test_missing_instance_exits_2(tmp_path, capsys):
     assert run_cli("plan", str(tmp_path / "nope.txt")) == 2
     assert "nope.txt" in capsys.readouterr().err

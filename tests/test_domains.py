@@ -155,7 +155,7 @@ def test_search_rescue_prior_is_exactly_n_victims():
         width=4, height=1, start=(0, 0),
         candidate_cells=((1, 0), (2, 0), (3, 0)), n_victims=2,
     ))
-    configs = model.prior.posterior(model.knowledge_all_unknown())
+    configs = dict(zip(*model.prior.posterior(model.knowledge_all_unknown())))
     assert sorted(configs) == [0b011, 0b101, 0b110]
     assert all(p == pytest.approx(1 / 3) for p in configs.values())
 

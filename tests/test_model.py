@@ -136,8 +136,18 @@ class TestGoalPrior:
         k = KnowledgeVector(2)
         assert prior.marginal(k, 0) == pytest.approx(2 / 3)
         k_no0 = k.confirm(no=0b01)
-        assert prior.posterior(k_no0) == {0b10: pytest.approx(1.0)}
+        assert dict(zip(*prior.posterior(k_no0))) == {0b10: pytest.approx(1.0)}
         assert prior.marginal(k_no0, 1) == 1.0
+
+    def test_constructors_keep_masks_increasing(self):
+        # the posterior's submask walk relies on this order
+        for prior in (
+            GoalPrior.uniform(4),
+            GoalPrior.bernoulli([0.3, 1.0, 0.5, 0.9]),
+            GoalPrior.explicit(4, {0b1100: 1.0, 0b0101: 0.5, 0b0011: 2.0, 0b1000: 0.0}),
+        ):
+            masks = list(prior.config_probs())
+            assert masks == sorted(masks)
 
     def test_posterior_inconsistent(self):
         prior = GoalPrior.explicit(2, {0b01: 1.0})
@@ -161,7 +171,7 @@ class TestGoalPrior:
         prior = GoalPrior.bernoulli(marginals)
         k = KnowledgeVector(n, yes, no)
         try:
-            post = prior.posterior(k)
+            post = dict(zip(*prior.posterior(k)))
         except InconsistentKnowledge:
             # only possible when knowledge excludes every configuration
             assert all(not k.is_consistent_with(g) for g in prior.config_probs())
