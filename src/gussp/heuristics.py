@@ -109,7 +109,8 @@ class HpgHeuristic:
             masks, probs = self.prior.posterior(k)
             todo = k.yes | k.unknown_mask
             # largest mass first; the sort is stable, so among equal masses
-            # the larger mask, which covers more goals, comes first
+            # larger masks come first and yes | unknown, which holds every
+            # possible goal, leads its ties
             for j in sorted(range(len(masks) - 1, -1, -1), key=probs.__getitem__, reverse=True):
                 new = masks[j] & todo
                 if new:
