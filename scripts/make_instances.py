@@ -19,14 +19,9 @@ from gussp.domains import (
 )
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default=str(Path(__file__).resolve().parents[1] / "instances"))
-    args = parser.parse_args()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    items = {
+def bundle() -> dict:
+    """Parameters of each bundled instance, by file stem."""
+    return {
         "line4": line4(),
         "grid8": random_grid(11, width=8, height=8, n_goals=3, move_success=0.85),
         "grid8_landmark": random_grid(
@@ -41,7 +36,15 @@ def main() -> None:
         ),
         "ev8": synthesize_ev_params(7),
     }
-    for name, params in items.items():
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--out", default=str(Path(__file__).resolve().parents[1] / "instances"))
+    args = parser.parse_args()
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, params in bundle().items():
         path = out / f"{name}.txt"
         save_instance(params, str(path))
         print(f"wrote {path}")

@@ -2,8 +2,8 @@
 
 ``gussp plan`` solves one instance with one algorithm and executes a trial
 batch; ``gussp arbor`` prints the goal-graph analysis for deterministic
-instances.  Exit codes: 0 success, 2 bad instance or model, 3 solver
-failure (non-convergence, budget exhaustion, no eligible target).
+instances.  Exit codes: 0 success, 2 bad arguments, instance or model,
+3 solver failure (non-convergence, budget exhaustion, no eligible target).
 """
 
 from __future__ import annotations
@@ -108,9 +108,6 @@ def _cmd_plan(args) -> int:
     sweep_log: Optional[TextIO] = None
     on_sweep = None
     if args.convergence_log:
-        if args.algorithm != "vi":
-            print("gussp: --convergence-log needs --algorithm vi", file=sys.stderr)
-            return 2
         sweep_log = open(args.convergence_log, "w", encoding="utf-8")
         sweep_log.write("sweep,residual\n")
 
@@ -174,7 +171,18 @@ def _cmd_arbor(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = make_parser().parse_args(argv)
+    parser = make_parser()
+    args = parser.parse_args(argv)
+    # checked here so that a bad value fails before any work is done
+    if not args.epsilon > 0:
+        parser.error("--epsilon must be positive")
+    if args.command == "plan":
+        if args.state_budget < 1:
+            parser.error("--state-budget must be positive")
+        if args.trials < 0:
+            parser.error("--trials must be nonnegative")
+        if args.convergence_log and args.algorithm != "vi":
+            parser.error("--convergence-log needs --algorithm vi")
     try:
         if args.command == "plan":
             return _cmd_plan(args)

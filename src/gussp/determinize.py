@@ -213,7 +213,7 @@ class PlanCache:
             plan = DeterminizedPlan(
                 target=target,
                 ssp=ssp,
-                table=ValueTable(epsilon=self.epsilon, default=h),
+                table=ValueTable(default=h),
                 heuristic=h,
             )
             self._plans[key] = plan

@@ -8,9 +8,10 @@ vicinity.  The episode ends on arrival at a confirmed true goal.
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import FrozenSet, Sequence, Tuple
 
 from ..errors import InvalidInstance
 from ..model import GusspModel
@@ -42,15 +43,6 @@ class GridParams:
     prior: PriorSpec = field(default_factory=PriorSpec)
 
 
-def _free_cells(params: GridParams) -> List[Cell]:
-    return [
-        (x, y)
-        for y in range(params.height)
-        for x in range(params.width)
-        if (x, y) not in params.obstacles
-    ]
-
-
 def _component_of(start: Cell, free: FrozenSet[Cell]) -> FrozenSet[Cell]:
     seen = {start}
     frontier = deque([start])
@@ -64,54 +56,108 @@ def _component_of(start: Cell, free: FrozenSet[Cell]) -> FrozenSet[Cell]:
     return frozenset(seen)
 
 
-def build_grid(params: GridParams) -> GusspModel:
+def checked_layout(params, goals: Sequence[Cell], what: str) -> FrozenSet[Cell]:
+    """Free cells of a grid layout, after checking its size, its
+    ``move_success``, and that the start, every goal and every landmark is
+    an in-grid free cell connected to the start.  ``params`` is any of the
+    grid-shaped parameter classes; ``what`` names the goals in messages."""
     if params.width < 1 or params.height < 1:
         raise InvalidInstance("grid needs positive dimensions")
     if not 0.0 < params.move_success <= 1.0:
         raise InvalidInstance("move_success must be in (0, 1]")
-    if params.step_cost <= 0.0:
-        raise InvalidInstance("step cost must be positive")
-    free = frozenset(_free_cells(params))
+    free = frozenset(
+        (x, y)
+        for y in range(params.height)
+        for x in range(params.width)
+        if (x, y) not in params.obstacles
+    )
 
-    def require_free(cell: Cell, what: str) -> None:
+    def require_free(cell: Cell, name: str) -> None:
         x, y = cell
         if not (0 <= x < params.width and 0 <= y < params.height):
-            raise InvalidInstance(f"{what} {cell} is outside the grid")
+            raise InvalidInstance(f"{name} {cell} is outside the grid")
         if cell in params.obstacles:
-            raise InvalidInstance(f"{what} {cell} is an obstacle")
+            raise InvalidInstance(f"{name} {cell} is an obstacle")
 
     require_free(params.start, "start")
-    for g in params.potential_goals:
-        require_free(g, "potential goal")
+    for g in goals:
+        require_free(g, what)
     component = _component_of(params.start, free)
-    unreachable = [g for g in params.potential_goals if g not in component]
-    if unreachable:
-        raise InvalidInstance(f"potential goals {unreachable} are cut off from the start")
-    for lm, vicinity in params.landmarks:
+    cut = [g for g in goals if g not in component]
+    if cut:
+        raise InvalidInstance(f"{what}s {cut} are cut off from the start")
+    for lm, _vicinity in params.landmarks:
         require_free(lm, "landmark")
         if lm not in component:
             raise InvalidInstance(f"landmark {lm} is cut off from the start")
+    return free
 
-    ms = params.move_success
-    states = sorted(free)
-    state_set = free
 
-    def transition(s: Cell, a: str) -> Sequence[Tuple[Cell, float]]:
+def slippery_moves(free: FrozenSet[Cell], move_success: float):
+    """``move(s, a)`` for a state whose first two fields are its cell: a
+    move into a free cell succeeds with ``move_success`` and otherwise stays
+    put; a blocked move stays put.  Fields after the cell carry over."""
+
+    def move(s, a: str):
         dx, dy = _DELTA[a]
         nxt = (s[0] + dx, s[1] + dy)
-        if nxt not in state_set:
+        if nxt not in free:
             return ((s, 1.0),)
-        if ms >= 1.0:
+        nxt += s[2:]
+        if move_success >= 1.0:
             return ((nxt, 1.0),)
-        return ((nxt, ms), (s, 1.0 - ms))
+        return ((nxt, move_success), (s, 1.0 - move_success))
+
+    return move
+
+
+def random_layout(
+    rng: random.Random,
+    width: int,
+    height: int,
+    n_goals: int,
+    n_landmarks: int,
+    obstacle_density: float,
+) -> Tuple[FrozenSet[Cell], Cell, Tuple[Cell, ...], Tuple[Tuple[Cell, Tuple[Cell, ...]], ...]]:
+    """``(obstacles, start, goals, landmarks)`` of a random connected layout:
+    obstacles are sampled first, then the start, goals, and landmarks are
+    placed inside the largest connected component."""
+    cells = [(x, y) for y in range(height) for x in range(width)]
+    obstacles = frozenset(rng.sample(cells, int(len(cells) * obstacle_density)))
+    free = frozenset(cells) - obstacles
+    if not free:
+        raise InvalidInstance("obstacle density leaves no free cell")
+    components = []
+    remaining = set(free)
+    while remaining:
+        comp = _component_of(next(iter(remaining)), free)
+        components.append(comp)
+        remaining -= comp
+    # components are disjoint, so the tie-break on the least cell is unique
+    pool = sorted(max(components, key=lambda comp: (len(comp), min(comp))))
+    if len(pool) < 1 + n_goals + n_landmarks:
+        raise InvalidInstance("not enough connected space for the requested layout")
+    picks = rng.sample(pool, 1 + n_goals + n_landmarks)
+    goals = tuple(sorted(picks[1:1 + n_goals]))
+    landmarks = tuple(
+        (lm, tuple(sorted(rng.sample(goals, rng.randint(1, min(3, n_goals))))))
+        for lm in picks[1 + n_goals:]
+    )
+    return obstacles, picks[0], goals, landmarks
+
+
+def build_grid(params: GridParams) -> GusspModel:
+    if params.step_cost <= 0.0:
+        raise InvalidInstance("step cost must be positive")
+    free = checked_layout(params, params.potential_goals, "potential goal")
 
     def cost(s: Cell, a: str) -> float:
         return params.step_cost
 
     return GusspModel(
-        base_states=states,
+        base_states=sorted(free),
         actions=ACTIONS,
-        transition=transition,
+        transition=slippery_moves(free, params.move_success),
         cost=cost,
         start_state=params.start,
         potential_goals=params.potential_goals,
@@ -141,44 +187,17 @@ def random_grid(
     move_success: float = 0.85,
     prior: PriorSpec = PriorSpec(),
 ) -> GridParams:
-    """Random connected instance: obstacles are sampled first, then the
-    start, goals, and landmarks are placed inside one connected component."""
-    rng = make_rng("grid", seed)
-    cells = [(x, y) for y in range(height) for x in range(width)]
-    n_obstacles = int(len(cells) * obstacle_density)
-    obstacles = frozenset(rng.sample(cells, n_obstacles))
-    free = frozenset(c for c in cells if c not in obstacles)
-    if not free:
-        raise InvalidInstance("obstacle density leaves no free cell")
-
-    # largest component hosts everything, so connectivity holds by placement
-    components: Dict[Cell, FrozenSet[Cell]] = {}
-    remaining = set(free)
-    while remaining:
-        c = next(iter(remaining))
-        comp = _component_of(c, free)
-        for x in comp:
-            components[x] = comp
-        remaining -= comp
-    best = max(set(components.values()), key=lambda comp: (len(comp), sorted(comp)[0]))
-    pool = sorted(best)
-    if len(pool) < 1 + n_goals + n_landmarks:
-        raise InvalidInstance("not enough connected space for the requested layout")
-    picks = rng.sample(pool, 1 + n_goals + n_landmarks)
-    start = picks[0]
-    goals = tuple(sorted(picks[1:1 + n_goals]))
-    landmarks = []
-    for lm in picks[1 + n_goals:]:
-        vicinity = tuple(sorted(rng.sample(goals, rng.randint(1, min(3, n_goals)))))
-        landmarks.append((lm, vicinity))
-
+    """Random connected instance laid out by :func:`random_layout`."""
+    obstacles, start, goals, landmarks = random_layout(
+        make_rng("grid", seed), width, height, n_goals, n_landmarks, obstacle_density
+    )
     return GridParams(
         width=width,
         height=height,
         start=start,
         potential_goals=goals,
         obstacles=obstacles,
-        landmarks=tuple(landmarks),
+        landmarks=landmarks,
         move_success=move_success,
         prior=prior,
     )

@@ -14,14 +14,13 @@ from typing import FrozenSet, Optional, Sequence, Tuple
 from ..errors import InvalidInstance
 from ..model import GusspModel, KnowledgeVector, Status
 from ..rng import make_rng
-from .grid import Cell, MOVES, _component_of
+from .grid import Cell, MOVES, _component_of, checked_layout, random_layout, slippery_moves
 from .priors import PriorSpec
 
 RoverState = Tuple[int, int, bool]
 
 SAMPLE = "sample"
 ACTIONS = tuple(name for name, _ in MOVES) + (SAMPLE,)
-_DELTA = dict(MOVES)
 
 
 @dataclass(frozen=True)
@@ -40,37 +39,11 @@ class RoverParams:
 
 
 def build_rover(params: RoverParams) -> GusspModel:
-    if params.width < 1 or params.height < 1:
-        raise InvalidInstance("rover grid needs positive dimensions")
-    if not 0.0 < params.move_success <= 1.0:
-        raise InvalidInstance("move_success must be in (0, 1]")
     if min(params.move_cost, params.sample_cost_confirmed, params.sample_cost_blind) <= 0:
         raise InvalidInstance("rover action costs must be positive")
-    free = frozenset(
-        (x, y)
-        for y in range(params.height)
-        for x in range(params.width)
-        if (x, y) not in params.obstacles
-    )
+    free = checked_layout(params, params.potential_goals, "site")
+    move = slippery_moves(free, params.move_success)
 
-    def require_free(cell: Cell, what: str) -> None:
-        x, y = cell
-        if not (0 <= x < params.width and 0 <= y < params.height):
-            raise InvalidInstance(f"{what} {cell} is outside the grid")
-        if cell in params.obstacles:
-            raise InvalidInstance(f"{what} {cell} is an obstacle")
-
-    require_free(params.start, "start")
-    for g in params.potential_goals:
-        require_free(g, "site")
-    component = _component_of(params.start, free)
-    cut = [g for g in params.potential_goals if g not in component]
-    if cut:
-        raise InvalidInstance(f"sites {cut} are cut off from the start")
-    for lm, _vic in params.landmarks:
-        require_free(lm, "landmark")
-
-    ms = params.move_success
     states: list = []
     for cell in sorted(free):
         states.append((cell[0], cell[1], False))
@@ -81,19 +54,9 @@ def build_rover(params: RoverParams) -> GusspModel:
     site_index = {cell: i for i, cell in enumerate(params.potential_goals)}
 
     def transition(s: RoverState, a: str) -> Sequence[Tuple[RoverState, float]]:
-        x, y, done = s
-        if done:
-            return ((s, 1.0),)
-        if a == SAMPLE:
-            return ((s, 1.0),)  # blind sampling yields nothing
-        dx, dy = _DELTA[a]
-        nxt = (x + dx, y + dy)
-        if nxt not in free:
-            return ((s, 1.0),)
-        moved = (nxt[0], nxt[1], False)
-        if ms >= 1.0:
-            return ((moved, 1.0),)
-        return ((moved, ms), (s, 1.0 - ms))
+        if s[2] or a == SAMPLE:
+            return ((s, 1.0),)  # done, or blind sampling, which yields nothing
+        return move(s, a)
 
     def cost(s: RoverState, a: str) -> float:
         if s[2]:
@@ -150,28 +113,8 @@ def random_rover(
     prior: PriorSpec = PriorSpec(),
 ) -> RoverParams:
     """Random connected rover instance, same placement scheme as the grids."""
-    rng = make_rng("rover", seed)
-    cells = [(x, y) for y in range(height) for x in range(width)]
-    obstacles = frozenset(rng.sample(cells, int(len(cells) * obstacle_density)))
-    free = frozenset(c for c in cells if c not in obstacles)
-    if not free:
-        raise InvalidInstance("obstacle density leaves no free cell")
-    comps = []
-    remaining = set(free)
-    while remaining:
-        comp = _component_of(next(iter(remaining)), free)
-        comps.append(comp)
-        remaining -= comp
-    best = max(comps, key=lambda comp: (len(comp), sorted(comp)[0]))
-    pool = sorted(best)
-    if len(pool) < 1 + n_goals + n_landmarks:
-        raise InvalidInstance("not enough connected space for the requested layout")
-    picks = rng.sample(pool, 1 + n_goals + n_landmarks)
-    start = picks[0]
-    goals = tuple(sorted(picks[1:1 + n_goals]))
-    landmarks = tuple(
-        (lm, tuple(sorted(rng.sample(goals, rng.randint(1, min(3, n_goals))))))
-        for lm in picks[1 + n_goals:]
+    obstacles, start, goals, landmarks = random_layout(
+        make_rng("rover", seed), width, height, n_goals, n_landmarks, obstacle_density
     )
     return RoverParams(
         width=width,

@@ -14,14 +14,13 @@ from typing import FrozenSet, Sequence, Tuple
 
 from ..errors import InvalidInstance
 from ..model import GoalPrior, GusspModel, KnowledgeVector, Status
-from .grid import Cell, MOVES, _component_of
+from .grid import Cell, MOVES, checked_layout, slippery_moves
 from .priors import PriorSpec
 
 SearchState = Tuple[int, int, int]
 
 SAVE = "save"
 ACTIONS = tuple(name for name, _ in MOVES) + (SAVE,)
-_DELTA = dict(MOVES)
 
 
 @dataclass(frozen=True)
@@ -70,25 +69,12 @@ def build_search_rescue(params: SearchRescueParams) -> GusspModel:
     n = len(params.candidate_cells)
     if not 1 <= params.n_victims <= n:
         raise InvalidInstance("victim count must be between 1 and the candidate count")
-    if not 0.0 < params.move_success <= 1.0:
-        raise InvalidInstance("move_success must be in (0, 1]")
     if params.move_cost <= 0 or params.save_cost <= 0:
         raise InvalidInstance("action costs must be positive")
-    free = frozenset(
-        (x, y)
-        for y in range(params.height)
-        for x in range(params.width)
-        if (x, y) not in params.obstacles
-    )
-    if params.start not in free:
-        raise InvalidInstance("start is blocked or outside the grid")
-    component = _component_of(params.start, free)
-    cut = [c for c in params.candidate_cells if c not in component]
-    if cut:
-        raise InvalidInstance(f"candidate cells {cut} are cut off from the start")
+    free = checked_layout(params, params.candidate_cells, "candidate cell")
+    move = slippery_moves(free, params.move_success)
 
     site_index = {cell: i for i, cell in enumerate(params.candidate_cells)}
-    ms = params.move_success
     states = [
         (x, y, mask)
         for (x, y) in sorted(free)
@@ -96,17 +82,9 @@ def build_search_rescue(params: SearchRescueParams) -> GusspModel:
     ]
 
     def transition(s: SearchState, a: str) -> Sequence[Tuple[SearchState, float]]:
-        x, y, mask = s
         if a == SAVE:
             return ((s, 1.0),)  # useless without a confirmed victim here
-        dx, dy = _DELTA[a]
-        nxt = (x + dx, y + dy)
-        if nxt not in free:
-            return ((s, 1.0),)
-        moved = (nxt[0], nxt[1], mask)
-        if ms >= 1.0:
-            return ((moved, 1.0),)
-        return ((moved, ms), (s, 1.0 - ms))
+        return move(s, a)
 
     def cost(s: SearchState, a: str) -> float:
         return params.save_cost if a == SAVE else params.move_cost

@@ -28,7 +28,6 @@ Heuristic = Callable[[int], float]
 class ValueTable:
     """State values with an admissible default for untouched states."""
 
-    epsilon: float = 1e-6
     default: Optional[Heuristic] = None
     values: Dict[int, float] = field(default_factory=dict)
     greedy: Dict[int, Action] = field(default_factory=dict)
@@ -123,7 +122,7 @@ def value_iteration(
     best = _greedy_rows(reachable, v)
 
     # row i of the arrays is compiled state i
-    table = ValueTable(epsilon=epsilon, values=dict(enumerate(v.tolist())))
+    table = ValueTable(values=dict(enumerate(v.tolist())))
     actions = ssp.actions
     policy = {
         i: actions[b]
@@ -205,7 +204,7 @@ def lao_star(
     (used by the replanning executors to share effort across solves).
     """
     if table is None:
-        table = ValueTable(epsilon=epsilon, default=heuristic)
+        table = ValueTable(default=heuristic)
     elif heuristic is not None and table.default is None:
         table.default = heuristic
     root = ssp.start_id if start is None else start
@@ -314,7 +313,7 @@ def flares(
     """
     t = math.inf if horizon is None else float(horizon)
     if table is None:
-        table = ValueTable(epsilon=epsilon, default=heuristic)
+        table = ValueTable(default=heuristic)
     rng = random.Random(derive_seed("flares", seed))
     labeled = table.depth_solved
     root = ssp.start_id if start is None else start

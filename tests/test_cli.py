@@ -101,6 +101,30 @@ def test_malformed_instance_exits_2(tmp_path, capsys):
     assert "bad instance" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("plan", LINE4, "--algorithm", "lao", "--convergence-log", "{tmp}/sweeps.csv"),
+    ("plan", LINE4, "--epsilon", "0"),
+    ("plan", LINE4, "--epsilon", "nan"),
+    ("plan", LINE4, "--algorithm", "lao", "--epsilon=-1e-6"),
+    ("plan", LINE4, "--state-budget", "0"),
+    ("plan", LINE4, "--trials=-1"),
+    ("arbor", LINE4, "--epsilon", "0"),
+])
+def test_bad_arguments_exit_2_before_any_work(tmp_path, argv):
+    argv = [arg.format(tmp=tmp_path) for arg in argv] + ["--out", str(tmp_path / "r.csv")]
+    if argv[0] == "plan":
+        argv += ["--dump-compiled", str(tmp_path / "compiled.txt")]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_zero_trials_is_valid(capsys):
+    assert run_cli("plan", LINE4, "--trials", "0", "--no-timing") == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("line4,vi,hpg,0,")
+
+
 def test_solver_failure_exits_3(capsys):
     assert run_cli("plan", LINE4, "--state-budget", "2") == 3
     assert "solver failure" in capsys.readouterr().err

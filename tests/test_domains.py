@@ -1,3 +1,4 @@
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -30,30 +31,68 @@ INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
 
 # --- builder validation ----------------------------------------------------
 
-def test_grid_rejects_bad_dimensions():
-    with pytest.raises(InvalidInstance):
-        build_grid(GridParams(width=0, height=3, start=(0, 0),
-                              potential_goals=((0, 1),)))
+# the three spatial builders share one checked layout; goals go in by keyword
+LAYOUT_BUILDERS = {
+    "grid": lambda goals, **kw: build_grid(GridParams(potential_goals=goals, **kw)),
+    "rover": lambda goals, **kw: build_rover(RoverParams(potential_goals=goals, **kw)),
+    "search": lambda goals, **kw: build_search_rescue(
+        SearchRescueParams(candidate_cells=goals, **kw)),
+}
+layout_builders = pytest.mark.parametrize("build", LAYOUT_BUILDERS.values(),
+                                          ids=LAYOUT_BUILDERS.keys())
+WALL = frozenset({(1, 0), (1, 1), (1, 2)})
 
 
-def test_grid_rejects_blocked_start():
-    with pytest.raises(InvalidInstance):
-        build_grid(GridParams(width=3, height=3, start=(1, 1),
-                              potential_goals=((2, 2),),
-                              obstacles=frozenset({(1, 1)})))
+@layout_builders
+def test_layout_rejects_bad_dimensions(build):
+    with pytest.raises(InvalidInstance, match="^grid needs positive dimensions$"):
+        build(((0, 1),), width=0, height=3, start=(0, 0))
 
 
-def test_grid_rejects_cut_off_goal():
-    wall = frozenset({(1, 0), (1, 1), (1, 2)})
-    with pytest.raises(InvalidInstance, match="cut off"):
-        build_grid(GridParams(width=3, height=3, start=(0, 0),
-                              potential_goals=((2, 2),), obstacles=wall))
+@layout_builders
+def test_layout_rejects_blocked_start(build):
+    with pytest.raises(InvalidInstance, match=r"start \(1, 1\) is an obstacle"):
+        build(((2, 2),), width=3, height=3, start=(1, 1),
+              obstacles=frozenset({(1, 1)}))
 
 
-def test_grid_rejects_bad_slip():
-    with pytest.raises(InvalidInstance):
-        build_grid(GridParams(width=3, height=1, start=(0, 0),
-                              potential_goals=((2, 0),), move_success=0.0))
+@layout_builders
+def test_layout_rejects_cut_off_goal(build):
+    with pytest.raises(InvalidInstance, match=r"\[\(2, 2\)\] are cut off"):
+        build(((2, 2),), width=3, height=3, start=(0, 0), obstacles=WALL)
+
+
+@layout_builders
+def test_layout_rejects_bad_slip(build):
+    with pytest.raises(InvalidInstance, match="move_success"):
+        build(((2, 0),), width=3, height=1, start=(0, 0), move_success=0.0)
+
+
+@layout_builders
+def test_layout_rejects_goal_outside_grid(build):
+    with pytest.raises(InvalidInstance, match=r"\(3, 0\) is outside the grid"):
+        build(((3, 0),), width=3, height=1, start=(0, 0))
+
+
+@layout_builders
+def test_layout_rejects_goal_on_obstacle(build):
+    with pytest.raises(InvalidInstance, match=r"\(2, 0\) is an obstacle"):
+        build(((2, 0),), width=3, height=2, start=(0, 0),
+              obstacles=frozenset({(2, 0)}))
+
+
+@layout_builders
+def test_layout_rejects_landmark_on_obstacle(build):
+    with pytest.raises(InvalidInstance, match=r"landmark \(1, 1\) is an obstacle"):
+        build(((2, 0),), width=3, height=3, start=(0, 0),
+              obstacles=frozenset({(1, 1)}), landmarks=(((1, 1), ((2, 0),)),))
+
+
+@layout_builders
+def test_layout_rejects_cut_off_landmark(build):
+    with pytest.raises(InvalidInstance, match=r"landmark \(2, 2\) is cut off"):
+        build(((0, 2),), width=3, height=3, start=(0, 0), obstacles=WALL,
+              landmarks=(((2, 2), ((0, 2),)),))
 
 
 def test_search_rescue_rejects_bad_victim_count():
@@ -203,6 +242,23 @@ def test_round_trip_bundled(name):
     assert parse_instance(text) == params
     assert instance_digest(params) == instance_digest(parse_instance(text))
     assert model.start_state is not None
+
+
+def _script_bundle():
+    path = INSTANCE_DIR.parent / "scripts" / "make_instances.py"
+    spec = importlib.util.spec_from_file_location("make_instances", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.bundle()
+
+
+def test_make_instances_reproduces_bundle():
+    # pins the generators' draws: five bundled files come from random_layout
+    bundle = _script_bundle()
+    assert sorted(f"{name}.txt" for name in bundle) == BUNDLED
+    for name, params in bundle.items():
+        expected = (INSTANCE_DIR / f"{name}.txt").read_bytes()
+        assert serialize_instance(params).encode() == expected, name
 
 
 @pytest.mark.parametrize("params", [
