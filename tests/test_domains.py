@@ -31,7 +31,8 @@ INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
 
 # --- builder validation ----------------------------------------------------
 
-# the three spatial builders share one checked layout; goals go in by keyword
+# the three spatial builders share one checked layout; build() passes the
+# goals as each builder's own goal field
 LAYOUT_BUILDERS = {
     "grid": lambda goals, **kw: build_grid(GridParams(potential_goals=goals, **kw)),
     "rover": lambda goals, **kw: build_rover(RoverParams(potential_goals=goals, **kw)),
