@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import List, Optional
 
+from gussp.cli import add_cell_options
 from gussp.domains import load_instance
 from gussp.harness import (
     ALGORITHMS,
@@ -25,20 +27,16 @@ from gussp.harness import (
 from pathlib import Path
 
 
-def main() -> int:
+def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("instances", nargs="+", help="instance files")
     parser.add_argument("--algorithms", nargs="+", default=["vi", "lao"],
                         choices=ALGORITHMS)
-    parser.add_argument("--heuristic", default="hpg")
-    parser.add_argument("--trials", type=int, default=30)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--epsilon", type=float, default=1e-6)
-    parser.add_argument("--flares-horizon", type=float, default=1)
+    add_cell_options(parser)
     parser.add_argument("--out", help="report CSV (default: stdout, pretty)")
     parser.add_argument("--per-trial", help="per-trial CSV path")
     parser.add_argument("--no-timing", action="store_true")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     jobs = []
     for path in args.instances:

@@ -64,7 +64,6 @@ from .model import (
     step_world,
 )
 from .solvers import (
-    Policy,
     ValueTable,
     bellman_backup,
     flares,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional, TextIO
+from typing import Callable, List, Optional, TextIO
 
 from .arborescence import audit_goal_graph
 from .compiler import DEFAULT_STATE_BUDGET, compile_gussp, dump_compiled
@@ -37,6 +37,34 @@ def _horizon(text: str) -> Optional[float]:
     return float(text)
 
 
+def _checked(kind, ok: Callable, what: str):
+    """An argparse type: ``kind(text)``, rejected unless ``ok`` holds, so a
+    bad value fails before any work is done."""
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}: {text!r}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
+
+
+_EPSILON = _checked(float, lambda x: x > 0, "positive")
+
+
+def add_cell_options(parser: argparse.ArgumentParser) -> None:
+    """The trial-batch options that ``gussp plan`` and
+    ``scripts/run_benchmarks.py`` share, with their checks."""
+    parser.add_argument("--heuristic", choices=HEURISTICS, default="hpg",
+                        help="heuristic for lao and flares")
+    parser.add_argument("--trials", type=_checked(int, lambda n: n >= 0, "nonnegative"),
+                        default=30)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--epsilon", type=_EPSILON, default=1e-6)
+    parser.add_argument("--flares-horizon", type=_horizon, default=1,
+                        help="labeling depth; 'inf' checks the full envelope")
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gussp",
@@ -47,14 +75,9 @@ def make_parser() -> argparse.ArgumentParser:
     plan = sub.add_parser("plan", help="solve an instance and run execution trials")
     plan.add_argument("instance", help="instance file path")
     plan.add_argument("--algorithm", choices=ALGORITHMS, default="vi")
-    plan.add_argument("--heuristic", choices=HEURISTICS, default="hpg",
-                      help="heuristic for lao and flares")
-    plan.add_argument("--trials", type=int, default=30)
-    plan.add_argument("--seed", type=int, default=0)
-    plan.add_argument("--epsilon", type=float, default=1e-6)
-    plan.add_argument("--flares-horizon", type=_horizon, default=1,
-                      help="labeling depth; 'inf' checks the full envelope")
-    plan.add_argument("--state-budget", type=int, default=DEFAULT_STATE_BUDGET)
+    add_cell_options(plan)
+    plan.add_argument("--state-budget", type=_checked(int, lambda n: n > 0, "positive"),
+                      default=DEFAULT_STATE_BUDGET)
     plan.add_argument("--out", help="report CSV path (default: stdout)")
     plan.add_argument("--per-trial", help="write per-trial CSV here")
     plan.add_argument("--trace", help="write executed trajectories here")
@@ -72,7 +95,7 @@ def make_parser() -> argparse.ArgumentParser:
     arbor.add_argument("--out", help="output CSV path (default: stdout)")
     arbor.add_argument("--with-value", action="store_true",
                        help="also solve the instance and report its value")
-    arbor.add_argument("--epsilon", type=float, default=1e-6)
+    arbor.add_argument("--epsilon", type=_EPSILON, default=1e-6)
     return parser
 
 
@@ -173,16 +196,8 @@ def _cmd_arbor(args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
-    # checked here so that a bad value fails before any work is done
-    if not args.epsilon > 0:
-        parser.error("--epsilon must be positive")
-    if args.command == "plan":
-        if args.state_budget < 1:
-            parser.error("--state-budget must be positive")
-        if args.trials < 0:
-            parser.error("--trials must be nonnegative")
-        if args.convergence_log and args.algorithm != "vi":
-            parser.error("--convergence-log needs --algorithm vi")
+    if args.command == "plan" and args.convergence_log and args.algorithm != "vi":
+        parser.error("--convergence-log needs --algorithm vi")
     try:
         if args.command == "plan":
             return _cmd_plan(args)

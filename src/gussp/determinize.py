@@ -31,7 +31,7 @@ from .model import (
 )
 from .rng import derive_seed
 from .solvers import ValueTable, lao_star, value_iteration
-from .harness_types import TraceRow
+from .harness_types import Episode, TraceRow
 
 # assumed problems beyond this size fall back to lazy per-state solving
 _FULL_SOLVE_BUDGET = 200_000
@@ -226,7 +226,7 @@ class PlanCache:
             if reach is not None:
                 result = value_iteration(ssp, reachable=reach, epsilon=self.epsilon)
                 plan.table = result.table
-                plan.policy.update(result.policy.actions)
+                plan.policy.update(result.policy)
         sid = plan.ssp.intern(s)
         if sid not in plan.policy and not plan.ssp.is_goal(sid):
             result = lao_star(
@@ -236,19 +236,9 @@ class PlanCache:
                 start=sid,
                 table=plan.table,
             )
-            plan.policy.update(result.policy.actions)
+            plan.policy.update(result.policy)
         elapsed = time.perf_counter() - t0
         return plan, elapsed
-
-
-@dataclass
-class DetTrial:
-    cost: float
-    steps: int
-    replans: int
-    plan_time: float
-    failed: bool
-    trace: Optional[List[TraceRow]]
 
 
 def execute_determinized(
@@ -261,7 +251,7 @@ def execute_determinized(
     plan_cache: Optional[PlanCache] = None,
     step_budget: int = 100_000,
     collect_trace: bool = False,
-) -> DetTrial:
+) -> Episode:
     """Run one determinize-and-replan trial under true configuration ``g_true``.
 
     ``selector`` is ``"mlg"`` or ``"cg"``.  The trial ends when the model's
@@ -289,7 +279,7 @@ def execute_determinized(
 
     while not model.is_terminal(s, k):
         if steps >= step_budget:
-            return DetTrial(cost, steps, max(0, len(targets) - 1), plan_time, True, trace)
+            return Episode(cost, steps, True, trace, max(0, len(targets) - 1), plan_time)
         if plan is not None and (
             k.status_of(plan.target) is Status.CONFIRMED_NOT_GOAL
             or model.target_done(s, plan.target)
@@ -323,4 +313,4 @@ def execute_determinized(
     cost += model.exit_cost(s)
     if trace is not None:
         trace.append(TraceRow(steps, s, str(k), None, cost, "-"))
-    return DetTrial(cost, steps, max(0, len(targets) - 1), plan_time, False, trace)
+    return Episode(cost, steps, False, trace, max(0, len(targets) - 1), plan_time)

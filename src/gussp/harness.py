@@ -16,23 +16,15 @@ import math
 import statistics
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Sequence, TextIO, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, TextIO, Tuple
 
 from .compiler import DEFAULT_STATE_BUDGET, CompiledSsp, Reachable, compile_gussp, enumerate_reachable
-from .determinize import DetTrial, PlanCache, execute_determinized
-from .harness_types import TraceRow
+from .determinize import PlanCache, execute_determinized
+from .harness_types import Episode, TraceRow
 from .heuristics import DistanceOracle, build_distance_oracle, make_heuristic
 from .model import Action, GusspModel, apply_observation, step_world
 from .rng import derive_seed, make_rng
-from .solvers import (
-    Policy,
-    ValueTable,
-    bellman_backup,
-    flares,
-    greedy_action,
-    lao_star,
-    value_iteration,
-)
+from .solvers import ValueTable, bellman_backup, flares, lao_star, value_iteration
 
 ALGORITHMS = ("vi", "lao", "flares", "det-mlg", "det-cg")
 HEURISTICS = ("zero", "hmin", "hpg")
@@ -101,26 +93,18 @@ class CellResult:
     traces: List[List[TraceRow]] = field(default_factory=list)
 
 
-@dataclass
-class ExecTrial:
-    cost: float
-    steps: int
-    failed: bool
-    trace: Optional[List[TraceRow]]
-
-
 def execute_policy(
     model: GusspModel,
     ssp: CompiledSsp,
     table: ValueTable,
-    policy: Policy,
+    policy: Dict[int, Action],
     g_mask: int,
     rng,
     *,
     step_budget: int = 100_000,
     collect_trace: bool = False,
     replan: Optional[Callable[[int], Optional[Action]]] = None,
-) -> ExecTrial:
+) -> Episode:
     """Walk one episode under a solved (possibly partial) policy.
 
     ``replan``, when given, picks the action at every visited state and may
@@ -137,10 +121,10 @@ def execute_policy(
     trace: Optional[List[TraceRow]] = [] if collect_trace else None
     while not model.is_terminal(s, k):
         if steps >= step_budget:
-            return ExecTrial(cost, steps, True, trace)
+            return Episode(cost, steps, True, trace)
         a = replan(i) if replan is not None else policy.get(i)
         if a is None:
-            a = greedy_action(ssp, table, i)
+            a = bellman_backup(ssp, table, i)[1]
         s2, paid, obs = step_world(model, s, a, g_mask, k_true, rng)
         k2 = apply_observation(k, obs)
         if trace is not None:
@@ -152,7 +136,7 @@ def execute_policy(
     cost += model.exit_cost(s)
     if trace is not None:
         trace.append(TraceRow(steps, s, str(k), None, cost, "-"))
-    return ExecTrial(cost, steps, False, trace)
+    return Episode(cost, steps, False, trace)
 
 
 def _config_string(g_mask: int) -> str:
@@ -196,152 +180,128 @@ def run_cell(
     collect_traces: bool = False,
     on_sweep: Optional[Callable[[int, float, object], None]] = None,
 ) -> CellResult:
+    """Plan as ``spec.algorithm`` requires, then run one trial loop over its
+    episodes.  vi, lao and flares solve up front; the det baselines plan
+    inside each episode.  Planning booked on an episode counts as planning."""
     if spec.algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {spec.algorithm!r}")
     if spec.algorithm in ("lao", "flares") and spec.heuristic not in HEURISTICS:
         raise ValueError(f"unknown heuristic {spec.heuristic!r}")
 
-    if spec.algorithm.startswith("det-"):
-        return _run_det_cell(model, spec, oracle, collect_traces)
-
-    if ssp is None:
-        ssp = compile_gussp(model)
-    table: ValueTable
-    policy: Policy
-    value_start: Optional[float]
-    compiled_states: Optional[int] = None
-    solver_stat: Optional[int] = None
+    det = spec.algorithm.startswith("det-")
+    heuristic = "" if det else spec.heuristic
+    episode: Callable[[int, int], Episode]
+    value_start = compiled_states = solver_stat = None
     exhausted = False
+    plan_time = 0.0
 
-    if spec.algorithm == "vi":
-        # the array backend's one-time import is not planning
-        import numpy, scipy.sparse  # noqa: F401
+    if det:
+        selector = spec.algorithm[len("det-"):]
+        if selector == "cg" and oracle is None:
+            oracle = build_distance_oracle(model)
+        cache = PlanCache(model, epsilon=spec.epsilon, oracle=oracle)
 
-    t0 = time.perf_counter()
-    if spec.algorithm == "vi":
-        if reachable is None:
-            reachable = enumerate_reachable(ssp, spec.state_budget)
-        result = value_iteration(
-            ssp, epsilon=spec.epsilon, reachable=reachable, on_sweep=on_sweep
-        )
-        table, policy = result.table, result.policy
-        compiled_states = len(reachable)
-        solver_stat = result.sweeps
-    else:
-        h = make_heuristic(spec.heuristic, ssp, oracle)
-        if spec.algorithm == "lao":
-            result = lao_star(ssp, h, epsilon=spec.epsilon)
-            table, policy = result.table, result.policy
-            solver_stat = result.expanded
-        else:
-            result = flares(
-                ssp,
-                h,
-                horizon=spec.flares_horizon,
-                epsilon=spec.epsilon,
-                max_trials=spec.flares_trials,
-                seed=spec.seed,
+        def episode(g_mask: int, trial: int) -> Episode:
+            return execute_determinized(
+                model, selector, g_mask,
+                seed=derive_seed(spec.seed, trial),
+                oracle=oracle,
+                plan_cache=cache,
+                step_budget=spec.step_budget,
+                collect_trace=collect_traces,
             )
-            table, policy = result.table, result.policy
-            solver_stat = result.trials
-            exhausted = result.exhausted
-        compiled_states = len(ssp)
-    plan_time = time.perf_counter() - t0
-    value_start = table.value(ssp.start_id)
+    else:
+        if ssp is None:
+            ssp = compile_gussp(model)
+        if spec.algorithm == "vi":
+            # the array backend's one-time import is not planning
+            import numpy, scipy.sparse  # noqa: F401
 
-    replan: Optional[Callable[[int], Optional[Action]]] = None
-    replan_time = [0.0]
-    if spec.algorithm == "flares":
-        reseed = itertools.count(spec.seed + 1)
-
-        def replan(i: int, _h=h) -> Optional[Action]:
-            # execution left the labeled region: run more trials from here,
-            # booking the effort as planning like the replanning baselines do
-            if i not in table.depth_solved and not ssp.is_goal(i):
-                t_r = time.perf_counter()
-                flares(
-                    ssp, _h, horizon=spec.flares_horizon, epsilon=spec.epsilon,
-                    max_trials=spec.flares_trials, seed=next(reseed),
-                    start=i, table=table,
+        t0 = time.perf_counter()
+        if spec.algorithm == "vi":
+            if reachable is None:
+                reachable = enumerate_reachable(ssp, spec.state_budget)
+            result = value_iteration(
+                ssp, epsilon=spec.epsilon, reachable=reachable, on_sweep=on_sweep
+            )
+            compiled_states = len(reachable)
+            solver_stat = result.sweeps
+        else:
+            h = make_heuristic(spec.heuristic, ssp, oracle)
+            if spec.algorithm == "lao":
+                result = lao_star(ssp, h, epsilon=spec.epsilon)
+                solver_stat = result.expanded
+            else:
+                result = flares(
+                    ssp, h, horizon=spec.flares_horizon, epsilon=spec.epsilon,
+                    max_trials=spec.flares_trials, seed=spec.seed,
                 )
-                replan_time[0] += time.perf_counter() - t_r
-            v, a, _ = bellman_backup(ssp, table, i)
-            table.values[i] = v
-            return a
+                solver_stat = result.trials
+                exhausted = result.exhausted
+            compiled_states = len(ssp)
+        plan_time = time.perf_counter() - t0
+        table, policy = result.table, result.policy
+        value_start = table.value(ssp.start_id)
+
+        replan: Optional[Callable[[int], Optional[Action]]] = None
+        replanned = [0.0]  # re-solve time of the running episode
+        if spec.algorithm == "flares":
+            reseed = itertools.count(spec.seed + 1)
+
+            def replan(i: int) -> Optional[Action]:
+                # execution left the labeled region: run more trials from here,
+                # booking the effort as planning like the replanning baselines do
+                if i not in table.depth_solved and not ssp.is_goal(i):
+                    t_r = time.perf_counter()
+                    flares(
+                        ssp, h, horizon=spec.flares_horizon, epsilon=spec.epsilon,
+                        max_trials=spec.flares_trials, seed=next(reseed),
+                        start=i, table=table,
+                    )
+                    replanned[0] += time.perf_counter() - t_r
+                v, a, _ = bellman_backup(ssp, table, i)
+                table.values[i] = v
+                return a
+
+        def episode(g_mask: int, trial: int) -> Episode:
+            out = execute_policy(
+                model, ssp, table, policy, g_mask,
+                make_rng("exec", spec.seed, trial),
+                step_budget=spec.step_budget,
+                collect_trace=collect_traces,
+                replan=replan,
+            )
+            out.plan_time, replanned[0] = replanned[0], 0.0
+            return out
 
     records: List[TrialRecord] = []
     traces: List[List[TraceRow]] = []
+    plan_time_first = plan_time
+    booked = 0.0
     t1 = time.perf_counter()
     for trial in range(spec.trials):
         g_mask = model.sample_config(make_rng("config", spec.seed, trial))
-        out = execute_policy(
-            model, ssp, table, policy, g_mask,
-            make_rng("exec", spec.seed, trial),
-            step_budget=spec.step_budget,
-            collect_trace=collect_traces,
-            replan=replan,
-        )
-        records.append(TrialRecord(
-            instance=spec.name, algorithm=spec.algorithm, heuristic=spec.heuristic,
-            trial=trial, config=_config_string(g_mask), cost=out.cost,
-            steps=out.steps, replans=0, failed=out.failed,
-        ))
-        if collect_traces and out.trace is not None:
-            traces.append(out.trace)
-    exec_time = time.perf_counter() - t1
-    return _cell_result(
-        spec, spec.heuristic, records, traces,
-        value_start=value_start, compiled_states=compiled_states,
-        solver_stat=solver_stat, exhausted=exhausted,
-        plan_time_first=plan_time,
-        plan_time_total=plan_time + replan_time[0],
-        exec_time_total=exec_time - replan_time[0],
-    )
-
-
-def _run_det_cell(
-    model: GusspModel,
-    spec: CellSpec,
-    oracle: Optional[DistanceOracle],
-    collect_traces: bool,
-) -> CellResult:
-    selector = spec.algorithm.split("-", 1)[1]
-    if selector == "cg" and oracle is None:
-        oracle = build_distance_oracle(model)
-    cache = PlanCache(model, epsilon=spec.epsilon, oracle=oracle)
-
-    records: List[TrialRecord] = []
-    traces: List[List[TraceRow]] = []
-    plan_time_first = 0.0
-    plan_time_total = 0.0
-    t0 = time.perf_counter()
-    for trial in range(spec.trials):
-        g_mask = model.sample_config(make_rng("config", spec.seed, trial))
-        out: DetTrial = execute_determinized(
-            model, selector, g_mask,
-            seed=derive_seed(spec.seed, trial),
-            oracle=oracle,
-            plan_cache=cache,
-            step_budget=spec.step_budget,
-            collect_trace=collect_traces,
-        )
-        if trial == 0:
+        out = episode(g_mask, trial)
+        if det and trial == 0:
             plan_time_first = out.plan_time
-        plan_time_total += out.plan_time
+        booked += out.plan_time
         records.append(TrialRecord(
-            instance=spec.name, algorithm=spec.algorithm, heuristic="",
+            instance=spec.name, algorithm=spec.algorithm, heuristic=heuristic,
             trial=trial, config=_config_string(g_mask), cost=out.cost,
             steps=out.steps, replans=out.replans, failed=out.failed,
         ))
-        if collect_traces and out.trace is not None:
+        if out.trace is not None:
             traces.append(out.trace)
-    total_time = time.perf_counter() - t0
+    exec_time = time.perf_counter() - t1
+    if det:
+        solver_stat = len(cache._plans)
     return _cell_result(
-        spec, "", records, traces,
-        value_start=None, compiled_states=None, solver_stat=len(cache._plans),
-        exhausted=False,
-        plan_time_first=plan_time_first, plan_time_total=plan_time_total,
-        exec_time_total=total_time - plan_time_total,
+        spec, heuristic, records, traces,
+        value_start=value_start, compiled_states=compiled_states,
+        solver_stat=solver_stat, exhausted=exhausted,
+        plan_time_first=plan_time_first,
+        plan_time_total=plan_time + booked,
+        exec_time_total=exec_time - booked,
     )
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 from .model import Action, State
 
@@ -27,3 +27,16 @@ class TraceRow:
             f"{self.step}\t{self.state!r}\t{self.knowledge}\t{act}\t"
             f"{self.cost_so_far:.6f}\t{self.observation}"
         )
+
+
+@dataclass
+class Episode:
+    """One executed trial.  ``failed`` means the step budget ran out;
+    ``replans`` and ``plan_time`` count the planning done during the trial."""
+
+    cost: float
+    steps: int
+    failed: bool
+    trace: Optional[List[TraceRow]]
+    replans: int = 0
+    plan_time: float = 0.0

@@ -170,8 +170,7 @@ class GoalPrior:
     configurations would.
     """
 
-    def __init__(self, kind: str, n: int, probs: Dict[int, float]):
-        self.kind = kind
+    def __init__(self, n: int, probs: Dict[int, float]):
         self.n = n
         self._probs = probs
         # keyed by (k.yes << n) | k.no
@@ -184,7 +183,7 @@ class GoalPrior:
         _check_n(n)
         total = (1 << n) - 1
         p = 1.0 / total
-        return cls("uniform", n, {m: p for m in range(1, total + 1)})
+        return cls(n, {m: p for m in range(1, total + 1)})
 
     @classmethod
     def explicit(cls, n: int, weights: Mapping[int, float]) -> "GoalPrior":
@@ -201,7 +200,7 @@ class GoalPrior:
         total = sum(probs.values())
         if total <= 0:
             raise InvalidInstance("explicit prior has no positive-weight configuration")
-        return cls("explicit", n, {m: w / total for m, w in sorted(probs.items())})
+        return cls(n, {m: w / total for m, w in sorted(probs.items())})
 
     @classmethod
     def bernoulli(cls, marginals: Sequence[float]) -> "GoalPrior":
@@ -221,7 +220,7 @@ class GoalPrior:
                 w *= marginals[i] if mask & (1 << i) else 1.0 - marginals[i]
             if w > 0:
                 probs[mask] = w / norm
-        return cls("bernoulli", n, probs)
+        return cls(n, probs)
 
     def config_probs(self) -> Dict[int, float]:
         return dict(self._probs)

@@ -43,22 +43,6 @@ class ValueTable:
         return 0.0
 
 
-@dataclass
-class Policy:
-    """Greedy action map over compiled-state ids."""
-
-    actions: Dict[int, Action]
-
-    def act(self, i: int) -> Action:
-        return self.actions[i]
-
-    def get(self, i: int) -> Optional[Action]:
-        return self.actions.get(i)
-
-    def __len__(self) -> int:
-        return len(self.actions)
-
-
 def bellman_backup(ssp, table: ValueTable, i: int) -> Tuple[float, Optional[Action], float]:
     """One-step lookahead at state ``i``.
 
@@ -94,7 +78,7 @@ def _apply_backup(ssp, table: ValueTable, i: int) -> float:
 @dataclass
 class VIResult:
     table: ValueTable
-    policy: Policy
+    policy: Dict[int, Action]
     sweeps: int
 
 
@@ -129,8 +113,8 @@ def value_iteration(
         for i, (b, g) in enumerate(zip(best.tolist(), reachable.goal.tolist()))
         if not g
     }
-    table.greedy.update(policy)
-    return VIResult(table=table, policy=Policy(policy), sweeps=sweeps)
+    table.greedy = policy
+    return VIResult(table=table, policy=policy, sweeps=sweeps)
 
 
 def _vi_sweeps(reachable: Reachable, epsilon, max_sweeps, on_sweep):
@@ -181,7 +165,7 @@ def _greedy_rows(reachable: Reachable, v):
 @dataclass
 class LaoResult:
     table: ValueTable
-    policy: Policy
+    policy: Dict[int, Action]
     expanded: int
 
 
@@ -249,7 +233,7 @@ def lao_star(
     for _ in range(max_rounds):
         graph, fringe = trace()
         if not graph and not fringe:
-            return LaoResult(table=table, policy=Policy({}), expanded=len(expanded))
+            return LaoResult(table=table, policy={}, expanded=len(expanded))
         if fringe:
             for f in fringe:
                 expanded.add(f)
@@ -272,14 +256,14 @@ def lao_star(
             policy[i] = a
             table.greedy[i] = a
         if stable:
-            return LaoResult(table=table, policy=Policy(policy), expanded=len(expanded))
+            return LaoResult(table=table, policy=policy, expanded=len(expanded))
     raise NonConvergence(f"lao*: no closed solution graph after {max_rounds} rounds")
 
 
 @dataclass
 class FlaresResult:
     table: ValueTable
-    policy: Policy
+    policy: Dict[int, Action]
     trials: int
     exhausted: bool  # trial budget ran out before the start state was labeled
 
@@ -363,13 +347,6 @@ def flares(
             if not check_depth_solved(j):
                 break
 
-    policy = Policy(dict(table.greedy))
     return FlaresResult(
-        table=table, policy=policy, trials=trials, exhausted=not solved(root)
+        table=table, policy=dict(table.greedy), trials=trials, exhausted=not solved(root)
     )
-
-
-def greedy_action(ssp, table: ValueTable, i: int) -> Optional[Action]:
-    """Greedy action at ``i`` under the current table (fallback for partial policies)."""
-    _, a, _ = bellman_backup(ssp, table, i)
-    return a

@@ -1,3 +1,4 @@
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from gussp.cli import main
-from gussp.harness import REPORT_FIELDS
+from gussp.harness import ALGORITHMS, REPORT_FIELDS
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
 LINE4 = str(INSTANCE_DIR / "line4.txt")
@@ -118,6 +119,46 @@ def test_bad_arguments_exit_2_before_any_work(tmp_path, argv):
         run_cli(*argv)
     assert exc.value.code == 2
     assert list(tmp_path.iterdir()) == []
+
+
+def _run_benchmarks_script():
+    path = INSTANCE_DIR.parent / "scripts" / "run_benchmarks.py"
+    spec = importlib.util.spec_from_file_location("run_benchmarks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("argv", [
+    ("--algorithms", "vi", "--epsilon", "0"),
+    ("--algorithms", "lao", "--heuristic", "foo"),
+    ("--trials=-1",),
+])
+def test_run_benchmarks_bad_arguments_exit_2_before_any_cell(monkeypatch, argv):
+    script = _run_benchmarks_script()
+
+    def no_cell(*_args, **_kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(script, "run_cell", no_cell)
+    with pytest.raises(SystemExit) as exc:
+        script.main([LINE4, *argv])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("horizon", [(), ("--flares-horizon", "none")])
+def test_run_benchmarks_rows_match_plan(tmp_path, capsys, horizon):
+    # one report path: the matrix script writes the rows gussp plan writes
+    out = tmp_path / "matrix.csv"
+    args = ("--trials", "5", "--no-timing", *horizon)
+    assert _run_benchmarks_script().main(
+        [LINE4, "--algorithms", *ALGORITHMS, *args, "--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = []
+    for algorithm in ALGORITHMS:
+        assert run_cli("plan", LINE4, "--algorithm", algorithm, *args) == 0
+        rows.append(capsys.readouterr().out.splitlines()[1])
+    assert out.read_text().splitlines()[1:] == rows
 
 
 def test_zero_trials_is_valid(capsys):

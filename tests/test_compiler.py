@@ -279,7 +279,7 @@ def test_assumed_target_ssp_enumerates_into_arrays(line4_model):
     assert_rows_match_lazy(ssp, reach)
     vi = value_iteration(ssp, reachable=reach)
     assert vi.table.value(ssp.start_id) == 2.0
-    assert vi.policy.act(ssp.start_id) == "right"
+    assert vi.policy[ssp.start_id] == "right"
 
 
 def test_dead_end_after_revelation_is_improper():

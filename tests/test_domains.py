@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -260,6 +261,28 @@ def test_make_instances_reproduces_bundle():
     for name, params in bundle.items():
         expected = (INSTANCE_DIR / f"{name}.txt").read_bytes()
         assert serialize_instance(params).encode() == expected, name
+
+
+
+# sha256 of serialize_instance for six goals and four landmarks, whose
+# vicinities hold one to three goals; the bundle has only a one-goal vicinity
+GENERATED_DIGESTS = {
+    ("grid", 0): "2f0c909cf0bd311029fa3a7f11f018d23ea73a9b969e42f3dffc05d0897a36db",
+    ("grid", 1): "8ee45c8ecf471c2bfb61afb259a1265db6997a8145a52959d1f5bb568a3a4428",
+    ("grid", 2): "2fc90191cf66c9b0e23afcb1fa27c3ce87be64903c6df764463ed528388a6d79",
+    ("grid", 3): "fea3f865ce38778c11fbb5293c8b995d5f36227749f6733e915b5854ff961752",
+    ("rover", 0): "f6b9c5a6458cf22eb80d494fe19519fb87070664171d4b654d215f0a0f64191f",
+    ("rover", 1): "feb44692ecc8d6ba7a37cc3ff0d0317decb3252d52c0c21adfe1566c0293fba6",
+    ("rover", 2): "8fc31bc50c2aebfa037e4730bbfb618b699af2418fa7bdced65a31098665f0aa",
+    ("rover", 3): "fc6cb89530e96108a38071f949c5515669bf20c48c018940759ed65725f78c7b",
+}
+
+
+@pytest.mark.parametrize("domain,seed", sorted(GENERATED_DIGESTS))
+def test_generated_landmark_instances_digest(domain, seed):
+    make = {"grid": random_grid, "rover": random_rover}[domain]
+    text = serialize_instance(make(seed, n_goals=6, n_landmarks=4))
+    assert hashlib.sha256(text.encode()).hexdigest() == GENERATED_DIGESTS[domain, seed]
 
 
 @pytest.mark.parametrize("params", [

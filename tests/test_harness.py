@@ -96,7 +96,7 @@ def test_flares_cell_uses_online_execution(line4_model):
 
 def test_execute_policy_replan_hook_drives_actions(line4_solved, line4_model):
     ssp, _reach, vi = line4_solved
-    from gussp.solvers import Policy, ValueTable, bellman_backup
+    from gussp.solvers import ValueTable, bellman_backup
 
     blank = ValueTable()
     for i in range(len(ssp)):
@@ -111,12 +111,43 @@ def test_execute_policy_replan_hook_drives_actions(line4_solved, line4_model):
         return a
 
     trial = execute_policy(
-        line4_model, ssp, blank, Policy({}), 0b01, make_rng("exec", 0, 0),
+        line4_model, ssp, blank, {}, 0b01, make_rng("exec", 0, 0),
         replan=replan,
     )
     assert not trial.failed
     assert visited[0] == ssp.start_id
     assert blank.values[ssp.start_id] > 0.0  # backups landed in the table
+
+
+def test_execute_policy_falls_back_to_table_backups(line4_solved, line4_model):
+    # with no policy at all, every action comes from a backup on VI's table,
+    # which picks what VI's own policy picks
+    ssp, _reach, vi = line4_solved
+    for g_mask in (0b01, 0b10, 0b11):
+        for trial in range(4):
+            walks = [
+                execute_policy(line4_model, ssp, vi.table, policy, g_mask,
+                               make_rng("exec", 0, trial), collect_trace=True)
+                for policy in (vi.policy, {})
+            ]
+            assert walks[0] == walks[1]
+            assert walks[0].trace[0].action == "right"
+
+
+@pytest.mark.parametrize("algorithm,trials", [
+    ("vi", 5), ("lao", 5), ("flares", 5), ("det-mlg", 1), ("det-cg", 1),
+])
+def test_plan_time_split(line4_model, algorithm, trials):
+    spec = CellSpec(name="line4", algorithm=algorithm, trials=trials, seed=3)
+    report = run_cell(line4_model, spec).report
+    assert report.plan_time_first >= 0.0
+    assert report.exec_time_total >= 0.0
+    if algorithm == "flares":
+        # re-solves during execution count as planning on top of the first solve
+        assert report.plan_time_total >= report.plan_time_first
+    else:
+        # nothing replans after the up-front solve, or one det trial plans it all
+        assert report.plan_time_total == report.plan_time_first
 
 
 def test_trace_output_shape(line4_model):

@@ -31,7 +31,7 @@ FROZEN = {
 
 def policy_digest(ssp, policy) -> str:
     triples = sorted(
-        (repr(ssp.state(i).s), str(ssp.state(i).k), a) for i, a in policy.actions.items()
+        (repr(ssp.state(i).s), str(ssp.state(i).k), a) for i, a in policy.items()
     )
     return hashlib.sha256(repr(triples).encode()).hexdigest()
 

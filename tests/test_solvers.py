@@ -9,7 +9,6 @@ from gussp.solvers import (
     ValueTable,
     bellman_backup,
     flares,
-    greedy_action,
     lao_star,
     value_iteration,
 )
@@ -53,7 +52,7 @@ def test_bellman_tie_breaks_to_earliest_action():
 def test_vi_matches_hand_value(line4_solved):
     ssp, _reach, vi = line4_solved
     assert vi.table.value(ssp.start_id) == pytest.approx(7 / 3, abs=1e-6)
-    assert vi.policy.act(ssp.start_id) == "right"
+    assert vi.policy[ssp.start_id] == "right"
 
 
 def test_vi_matches_belief_space_oracle(small_grids):
@@ -173,7 +172,3 @@ def test_flares_deterministic_given_seed(line4_solved):
     assert a.trials == b.trials
     assert a.table.values == b.table.values
 
-
-def test_greedy_action_fallback(line4_solved):
-    ssp, _reach, vi = line4_solved
-    assert greedy_action(ssp, vi.table, ssp.start_id) == "right"
