@@ -9,6 +9,7 @@ instances.  Exit codes: 0 success, 2 bad arguments, instance or model,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import Callable, List, Optional, TextIO
@@ -32,9 +33,16 @@ from .solvers import value_iteration
 
 
 def _horizon(text: str) -> Optional[float]:
+    """A labeling depth: ``None`` for ``none``/``inf``, else a number >= 0."""
     if text.lower() in ("inf", "none"):
         return None
-    return float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be a number >= 0, 'none' or 'inf': {text!r}")
+    return value
 
 
 def _checked(kind, ok: Callable, what: str):

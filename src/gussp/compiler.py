@@ -12,7 +12,7 @@ work on instances far too large to enumerate.  :func:`enumerate_reachable`
 is the eager path used by value iteration, oracles, and debug dumps: its
 breadth-first walk writes a CSR transition matrix over (state, action)
 rows, a cost array and a goal mask straight into :class:`Reachable`,
-without filling the lazy caches.  A fresh SSP numbers its states in that
+without filling the lazy row cache.  A fresh SSP numbers its states in that
 walk's discovery order, so the walk's rows are the compiled ids.
 """
 
@@ -50,42 +50,39 @@ Row = Tuple[Tuple[int, float], ...]
 
 
 class LazySsp:
-    """Memoised ``successors``/``cost`` over a subclass's uncached ``expand``.
+    """Per-state rows memoised over a subclass's uncached ``expand``.
 
-    ``expand(i, a)`` returns the successor row and the expected cost of
-    ``a`` at ``i`` in one pass; both are cached on the first request for
-    either.  :func:`enumerate_reachable` calls ``expand`` directly.
+    ``expand(i, a)`` returns the expected cost and the successor row of
+    ``a`` at ``i`` in one pass.  ``q_rows(i)``, the only cache, expands
+    every action of ``i`` in action order on its first request and keeps
+    one ``(action, cost, row)`` triple per action; ``successors`` and
+    ``cost`` index it.  ``goal_flags[i]`` marks the goal states.
+    :func:`enumerate_reachable` calls ``expand`` directly.
     """
 
     def __init__(self, actions: Tuple[Action, ...]):
         self.actions = actions
-        self._goal_flags: List[bool] = []
-        self._succ_cache: Dict[Tuple[int, Action], Row] = {}
-        self._cost_cache: Dict[Tuple[int, Action], float] = {}
+        self.goal_flags: List[bool] = []
+        self._action_index = {a: n for n, a in enumerate(actions)}
+        self._q_rows: Dict[int, Tuple[Tuple[Action, float, Row], ...]] = {}
 
-    def expand(self, i: int, a: Action) -> Tuple[Row, float]:
+    def expand(self, i: int, a: Action) -> Tuple[float, Row]:
         raise NotImplementedError
 
     def is_goal(self, i: int) -> bool:
-        return self._goal_flags[i]
+        return self.goal_flags[i]
+
+    def q_rows(self, i: int) -> Tuple[Tuple[Action, float, Row], ...]:
+        rows = self._q_rows.get(i)
+        if rows is None:
+            rows = self._q_rows[i] = tuple((a, *self.expand(i, a)) for a in self.actions)
+        return rows
 
     def successors(self, i: int, a: Action) -> Row:
-        key = (i, a)
-        cached = self._succ_cache.get(key)
-        if cached is not None:
-            return cached
-        out, self._cost_cache[key] = self.expand(i, a)
-        self._succ_cache[key] = out
-        return out
+        return self.q_rows(i)[self._action_index[a]][2]
 
     def cost(self, i: int, a: Action) -> float:
-        key = (i, a)
-        cached = self._cost_cache.get(key)
-        if cached is not None:
-            return cached
-        self._succ_cache[key], c = self.expand(i, a)
-        self._cost_cache[key] = c
-        return c
+        return self.q_rows(i)[self._action_index[a]][1]
 
 
 class CompiledSsp(LazySsp):
@@ -133,7 +130,7 @@ class CompiledSsp(LazySsp):
         i = self._ids[sid + self._n_base * kid] = len(self._sids)
         self._sids.append(sid)
         self._kids.append(kid)
-        self._goal_flags.append(self.model.is_terminal(self._base[sid], self._kvs[kid]))
+        self.goal_flags.append(self.model.is_terminal(self._base[sid], self._kvs[kid]))
         return i
 
     def intern(self, s: State, k: KnowledgeVector) -> int:
@@ -187,10 +184,10 @@ class CompiledSsp(LazySsp):
             )
         return tuple(out)
 
-    def expand(self, i: int, a: Action) -> Tuple[Row, float]:
-        goal_flags = self._goal_flags
+    def expand(self, i: int, a: Action) -> Tuple[float, Row]:
+        goal_flags = self.goal_flags
         if goal_flags[i]:
-            return ((i, 1.0),), 0.0
+            return 0.0, ((i, 1.0),)
         sid, kid = self._sids[i], self._kids[i]
         s, k = self._base[sid], self._kvs[kid]
         model = self.model
@@ -227,7 +224,7 @@ class CompiledSsp(LazySsp):
             for j, p in out:
                 if goal_flags[j]:
                     c += p * model.exit_cost(self._base[self._sids[j]])
-        return out, c
+        return c, out
 
 
 @dataclass
@@ -325,7 +322,7 @@ def enumerate_reachable(
 
     Every non-goal (state, action) pair is expanded once through
     ``ssp.expand``, and its row goes straight into the arrays of
-    :class:`Reachable`; the lazy caches are left alone.  Goal states are
+    :class:`Reachable`; the lazy row cache is left alone.  Goal states are
     absorbing and not expanded.  The walk takes ids ``0, 1, 2, ...`` as its
     queue: ``expand`` numbers new successors in the order the walk meets
     them, so on an SSP no lazy solver has touched the start is id 0 and
@@ -349,7 +346,7 @@ def enumerate_reachable(
         g = is_goal(i)
         goal.append(g)
         for a in actions:
-            succ, c = ((), 0.0) if g else expand(i, a)
+            c, succ = (0.0, ()) if g else expand(i, a)
             cost.append(c)
             for j, p in succ:
                 if j >= n:
@@ -409,7 +406,7 @@ def dump_compiled(
 
     Format: ``state_id  s  k  [a->(state_id,p),...]`` with actions in model
     order, omitted for goal states.  Rows are read from
-    :func:`enumerate_reachable`'s arrays, so the lazy caches stay empty.
+    :func:`enumerate_reachable`'s arrays, so the lazy row cache stays empty.
     """
     reach = enumerate_reachable(ssp, state_budget=state_budget)
     m, n_actions = reach.transitions, len(ssp.actions)

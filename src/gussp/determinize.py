@@ -115,7 +115,7 @@ class AssumedTargetSsp(LazySsp):
             i = len(self._states)
             self._ids[s] = i
             self._states.append(s)
-            self._goal_flags.append(
+            self.goal_flags.append(
                 self.model.is_terminal(s, self.k) or self.model.target_done(s, self.target)
             )
         return i
@@ -123,9 +123,9 @@ class AssumedTargetSsp(LazySsp):
     def state(self, i: int) -> State:
         return self._states[i]
 
-    def expand(self, i: int, a: Action) -> Tuple[Row, float]:
-        if self._goal_flags[i]:
-            return ((i, 1.0),), 0.0
+    def expand(self, i: int, a: Action) -> Tuple[float, Row]:
+        if self.goal_flags[i]:
+            return 0.0, ((i, 1.0),)
         s = self._states[i]
         out = tuple(
             (self.intern(s2), p)
@@ -135,9 +135,9 @@ class AssumedTargetSsp(LazySsp):
         c = self.model.step_cost(s, a, self.k)
         if self.model.terminal_cost is not None:
             for j, p in out:
-                if self._goal_flags[j] and self.model.is_terminal(self._states[j], self.k):
+                if self.goal_flags[j] and self.model.is_terminal(self._states[j], self.k):
                     c += p * self.model.exit_cost(self._states[j])
-        return out, c
+        return c, out
 
 
 class _AnchorHeuristic:
@@ -197,6 +197,10 @@ class PlanCache:
         self.epsilon = epsilon
         self._oracle = oracle
         self._plans: Dict[Tuple[int, int], DeterminizedPlan] = {}
+
+    def __len__(self) -> int:
+        """The number of plans built so far."""
+        return len(self._plans)
 
     def plan_for(self, target: int, k: KnowledgeVector, s: State) -> Tuple[DeterminizedPlan, float]:
         """Return a plan whose policy covers ``s``, solving or extending as needed."""

@@ -294,7 +294,7 @@ def run_cell(
             traces.append(out.trace)
     exec_time = time.perf_counter() - t1
     if det:
-        solver_stat = len(cache._plans)
+        solver_stat = len(cache)
     return _cell_result(
         spec, heuristic, records, traces,
         value_start=value_start, compiled_states=compiled_states,

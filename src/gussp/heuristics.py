@@ -164,7 +164,7 @@ class HminHeuristic:
         if cached is not None:
             return cached
         ssp = self.ssp
-        if ssp.is_goal(x_id):
+        if ssp.goal_flags[x_id]:
             self.cache[x_id] = 0.0
             return 0.0
 
@@ -189,15 +189,14 @@ class HminHeuristic:
             if known is not None:
                 heapq.heappush(heap, (d + known, next(tie), GOAL_TOKEN, j))
                 continue
-            if ssp.is_goal(j):
+            if ssp.goal_flags[j]:
                 heapq.heappush(heap, (d, next(tie), GOAL_TOKEN, j))
                 continue
-            for a in ssp.actions:
-                w = ssp.cost(j, a)
-                for j2, p in ssp.successors(j, a):
+            for _a, w, row in ssp.q_rows(j):
+                nd = d + w
+                for j2, p in row:
                     if p <= 0.0:
                         continue
-                    nd = d + w
                     if nd < dist.get(j2, INF):
                         dist[j2] = nd
                         parent[j2] = j

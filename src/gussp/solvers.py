@@ -3,10 +3,11 @@
 All solvers share the same conventions: values live in a :class:`ValueTable`
 keyed by compiled-state id, goal states are pinned at zero, and ties between
 equal-valued actions always resolve to the action earliest in the model's
-action order.  Any object exposing ``start_id``, ``actions``,
-``successors(i, a)``, ``cost(i, a)``, ``is_goal(i)`` and ``state(i)`` can be
-solved; the compiled problem and the determinization's single-target
-problems both qualify.
+action order.  Any :class:`~gussp.compiler.LazySsp` can be solved: solvers
+read ``start_id``, ``actions``, ``state(i)``, the ``goal_flags`` list and
+``q_rows(i)``, one ``(action, cost, successor row)`` per action, or its
+``successors(i, a)`` view.  Both the compiled problem and the
+determinization's single-target problems qualify.
 """
 
 from __future__ import annotations
@@ -49,21 +50,23 @@ def bellman_backup(ssp, table: ValueTable, i: int) -> Tuple[float, Optional[Acti
     Returns ``(new_value, greedy_action, residual)`` without mutating the
     table.  Goal states back up to zero with no action.
     """
-    if ssp.is_goal(i):
+    goal = ssp.goal_flags
+    if goal[i]:
         return 0.0, None, 0.0
-    best = math.inf
-    best_a: Optional[Action] = None
-    for a in ssp.actions:
-        q = ssp.cost(i, a)
-        for j, p in ssp.successors(i, a):
-            if ssp.is_goal(j):
+    values, h = table.values, table.default
+    best, best_a = math.inf, None
+    for a, q, row in ssp.q_rows(i):
+        for j, p in row:
+            if goal[j]:
                 continue
-            q += p * table.value(j)
+            v = values.get(j)
+            if v is None:  # table.value(j), inlined
+                v = 0.0 if h is None else h(j)
+            q += p * v
             if q >= best:
                 break
         if q < best:
-            best = q
-            best_a = a
+            best, best_a = q, a
     return best, best_a, abs(best - table.value(i))
 
 
@@ -201,7 +204,7 @@ def lao_star(
         stack = [root]
         while stack:
             i = stack.pop()
-            if ssp.is_goal(i):
+            if ssp.goal_flags[i]:
                 continue
             if i not in expanded:
                 fringe.append(i)
@@ -303,7 +306,7 @@ def flares(
     root = ssp.start_id if start is None else start
 
     def solved(i: int) -> bool:
-        return i in labeled or ssp.is_goal(i)
+        return i in labeled or ssp.goal_flags[i]
 
     def check_depth_solved(i: int) -> bool:
         ok = True

@@ -336,7 +336,8 @@ def test_criterion_07_scaling_trends(trend_models):
         ok,
         f"belief-aware wins {wins}/4, relaxed faster on 30x30x9: {dets_faster}, "
         f"cost ratios {', '.join(f'{k}={v:.2f}' for k, v in ratios.items())}, "
-        f"{elapsed:.0f}s",
+        f"{elapsed:.0f}s, flares plan s hpg/hmin "
+        + ", ".join(f"{n}={plan[(n, 'hpg')]:.2f}/{plan[(n, 'hmin')]:.2f}" for n in trend_models),
     )
 
 

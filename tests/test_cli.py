@@ -161,6 +161,47 @@ def test_run_benchmarks_rows_match_plan(tmp_path, capsys, horizon):
     assert out.read_text().splitlines()[1:] == rows
 
 
+class _CellReached(Exception):
+    pass
+
+
+def _stop_at_cell(_model, spec, **_kwargs):
+    raise _CellReached(spec)
+
+
+def _flares_runner(monkeypatch, tool):
+    """``gussp plan`` or the matrix script on line4 with flares, whose
+    ``run_cell`` raises :class:`_CellReached` with the cell's spec."""
+    import gussp.cli
+
+    if tool == "plan":
+        monkeypatch.setattr(gussp.cli, "run_cell", _stop_at_cell)
+        return lambda *args: main(["plan", LINE4, "--algorithm", "flares", *args])
+    script = _run_benchmarks_script()
+    monkeypatch.setattr(script, "run_cell", _stop_at_cell)
+    return lambda *args: script.main([LINE4, "--algorithms", "flares", *args])
+
+
+@pytest.mark.parametrize("tool", ["plan", "script"])
+@pytest.mark.parametrize("text", ["abc", "nan", "-1"])
+def test_bad_flares_horizon_exits_2_before_any_cell(monkeypatch, capsys, tool, text):
+    run = _flares_runner(monkeypatch, tool)
+    with pytest.raises(SystemExit) as exc:
+        run(f"--flares-horizon={text}")
+    assert exc.value.code == 2
+    assert (f"argument --flares-horizon: must be a number >= 0, 'none' or 'inf': '{text}'"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("tool", ["plan", "script"])
+@pytest.mark.parametrize("text, horizon", [("none", None), ("inf", None), ("0", 0.0), ("2", 2.0)])
+def test_flares_horizon_values_reach_the_cell(monkeypatch, tool, text, horizon):
+    run = _flares_runner(monkeypatch, tool)
+    with pytest.raises(_CellReached) as exc:
+        run("--flares-horizon", text)
+    assert exc.value.args[0].flares_horizon == horizon
+
+
 def test_zero_trials_is_valid(capsys):
     assert run_cli("plan", LINE4, "--trials", "0", "--no-timing") == 0
     assert capsys.readouterr().out.splitlines()[1].startswith("line4,vi,hpg,0,")

@@ -120,8 +120,8 @@ def test_dump_compiled_matches_lazy_rendering(name):
     ssp = compile_gussp(model)
     buf = io.StringIO()
     dump_compiled(ssp, buf)
-    # the dump reads the enumerated arrays and never fills the lazy caches
-    assert not ssp._succ_cache and not ssp._cost_cache
+    # the dump reads the enumerated arrays and never fills the lazy row cache
+    assert not ssp._q_rows
     assert buf.getvalue() == lazy_dump(compile_gussp(model))
 
 
@@ -263,8 +263,8 @@ def test_reachable_rows_match_lazy_expansion(name):
     _params, model = load_instance(str(INSTANCES / f"{name}.txt"))
     ssp = compile_gussp(model)
     reach = enumerate_reachable(ssp)
-    # the eager path expands without filling the lazy caches
-    assert not ssp._succ_cache and not ssp._cost_cache
+    # the eager path expands without filling the lazy row cache
+    assert not ssp._q_rows
     if name == "ev8":
         assert model.terminal_cost is not None  # exit costs folded into cost
     assert_rows_match_lazy(ssp, reach)
@@ -274,7 +274,7 @@ def test_assumed_target_ssp_enumerates_into_arrays(line4_model):
     k = line4_model.knowledge_all_unknown().confirm(yes=0b01, no=0b10)
     ssp = AssumedTargetSsp(line4_model, k, target=0)
     reach = enumerate_reachable(ssp)
-    assert not ssp._succ_cache and not ssp._cost_cache
+    assert not ssp._q_rows
     assert [ssp.state(i) for i in range(len(reach))] == [(0, 0), (1, 0), (2, 0)]
     assert_rows_match_lazy(ssp, reach)
     vi = value_iteration(ssp, reachable=reach)

@@ -66,9 +66,22 @@ def test_plan_cache_shared_across_trials(line4_model):
         )
     # one plan per (target, assumed knowledge) actually used; re-running
     # trials does not grow the cache
-    n = len(cache._plans)
+    n = len(cache)
     execute_determinized(line4_model, "cg", 0b10, seed=99, plan_cache=cache)
-    assert len(cache._plans) == n
+    assert len(cache) == n
+
+
+def test_plan_cache_counts_plans_built(line4_model):
+    cache = PlanCache(line4_model)
+    k = line4_model.knowledge_all_unknown()
+    s = line4_model.start_state
+    assert len(cache) == 0
+    cache.plan_for(0, k, s)
+    # ruling out the other site leaves the assumed goal set, and the plan, as is
+    cache.plan_for(0, k.confirm(no=0b10), s)
+    assert len(cache) == 1
+    cache.plan_for(1, k, s)
+    assert len(cache) == 2
 
 
 def test_line4_trial_costs_by_config(line4_model):
