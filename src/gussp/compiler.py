@@ -13,7 +13,9 @@ is the eager path used by value iteration, oracles, and debug dumps: its
 breadth-first walk writes a CSR transition matrix over (state, action)
 rows, a cost array and a goal mask straight into :class:`Reachable`,
 without filling the lazy row cache.  A fresh SSP numbers its states in that
-walk's discovery order, so the walk's rows are the compiled ids.
+walk's discovery order, so the walk's rows are the compiled ids.  Its exact
+properness check is a vectorised walk back from the goals over the
+transposed matrix, level by level in numpy, with no per-edge Python objects.
 """
 
 from __future__ import annotations
@@ -329,7 +331,9 @@ def enumerate_reachable(
     each newly found state is the next id.  Raises :class:`ValueError` if
     the SSP was numbered otherwise, :class:`StateBudgetExceeded` past
     ``state_budget`` states and, when ``require_proper``,
-    :class:`ImproperModel` if some reachable state cannot reach a goal.
+    :class:`ImproperModel` if some reachable state cannot reach a goal; that
+    check walks back from the goals over the transposed matrix in numpy
+    (:func:`_dead_states`) and makes no per-edge Python objects.
     """
     import numpy as np
     from scipy import sparse
@@ -370,23 +374,11 @@ def enumerate_reachable(
     )
 
     if require_proper:
-        # walk back from the goals; column c of the transpose is the pair
-        # (row c // A, action c % A)
-        back = transitions.T.tocsr()
-        ptr, nbr = back.indptr.tolist(), (back.indices // len(actions)).tolist()
-        can_finish = goal_mask.tolist()
-        stack = [r for r in range(n) if can_finish[r]]
-        while stack:
-            j = stack.pop()
-            for r in nbr[ptr[j]:ptr[j + 1]]:
-                if not can_finish[r]:
-                    can_finish[r] = True
-                    stack.append(r)
-        dead = [r for r in range(n) if not can_finish[r]]
-        if dead:
+        dead = _dead_states(transitions, goal_mask, len(actions))
+        if dead.size:
             raise ImproperModel(
-                f"{len(dead)} reachable states cannot reach a goal, "
-                f"e.g. {ssp.state(dead[0])}"
+                f"{dead.size} reachable states cannot reach a goal, "
+                f"e.g. {ssp.state(int(dead[0]))}"
             )
 
     return Reachable(
@@ -394,6 +386,22 @@ def enumerate_reachable(
         cost=np.frombuffer(cost, dtype=float),
         transitions=transitions,
     )
+
+
+def _dead_states(transitions: "sparse.csr_matrix", goal: "np.ndarray", n_actions: int):
+    """Sorted ids of the states that cannot reach a goal: a level-by-level
+    numpy walk back from the goals over the transposed matrix, whose row
+    ``j`` holds the rows ``r * n_actions + a`` that can move to ``j``."""
+    import numpy as np
+
+    back = transitions.T.tocsr()
+    can_finish = goal.copy()
+    frontier = np.flatnonzero(can_finish)
+    while frontier.size:
+        rows = np.unique(back[frontier].indices // n_actions)
+        frontier = rows[~can_finish[rows]]
+        can_finish[frontier] = True
+    return np.flatnonzero(~can_finish)
 
 
 def dump_compiled(
@@ -410,16 +418,17 @@ def dump_compiled(
     """
     reach = enumerate_reachable(ssp, state_budget=state_budget)
     m, n_actions = reach.transitions, len(ssp.actions)
-    ptr, cols, probs = m.indptr.tolist(), m.indices.tolist(), m.data.tolist()
     for i, g in enumerate(reach.goal.tolist()):
         x = ssp.state(i)
         if g:
             stream.write(f"{i}  {x.s!r}  {x.k}  goal\n")
             continue
-        parts = []
-        for r, a in enumerate(ssp.actions, i * n_actions):
-            lo, hi = ptr[r], ptr[r + 1]
-            succ = ",".join(f"({j},{p:.9g})" for j, p in zip(cols[lo:hi], probs[lo:hi]))
-            parts.append(f"{a}->{succ}")
+        ptr = m.indptr[i * n_actions:(i + 1) * n_actions + 1].tolist()  # this state's rows
+        lo, hi = ptr[0], ptr[-1]
+        succ = list(zip(m.indices[lo:hi].tolist(), m.data[lo:hi].tolist()))
+        parts = [
+            f"{a}->" + ",".join(f"({j},{p:.9g})" for j, p in succ[start - lo:end - lo])
+            for a, start, end in zip(ssp.actions, ptr, ptr[1:])
+        ]
         stream.write(f"{i}  {x.s!r}  {x.k}  [{'; '.join(parts)}]\n")
     return reach

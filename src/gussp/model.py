@@ -23,7 +23,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, compress
-from typing import Callable, Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     ContradictoryObservation,
@@ -102,13 +102,6 @@ class KnowledgeVector:
             return Status.CONFIRMED_NOT_GOAL
         return Status.UNKNOWN
 
-    def statuses(self) -> Tuple[Status, ...]:
-        return tuple(self.status_of(i) for i in range(self.n))
-
-    def is_consistent_with(self, config_mask: int) -> bool:
-        """Could ``config_mask`` be the true configuration given this knowledge?"""
-        return (config_mask & self.yes) == self.yes and not (config_mask & self.no)
-
     def confirm(self, yes: int = 0, no: int = 0) -> "KnowledgeVector":
         if (yes & self.no) or (no & self.yes):
             raise ContradictoryObservation(
@@ -126,16 +119,6 @@ class Observation:
 
     yes: int = 0
     no: int = 0
-
-    @classmethod
-    def from_pairs(cls, revealed: Mapping[int, bool]) -> "Observation":
-        yes = no = 0
-        for i, truth in revealed.items():
-            if truth:
-                yes |= 1 << i
-            else:
-                no |= 1 << i
-        return cls(yes, no)
 
     @property
     def revealed(self) -> Dict[int, bool]:
@@ -463,9 +446,6 @@ class GusspModel:
                 raise InvalidInstance(f"{g!r} is not a potential goal")
             mask |= 1 << idx
         return mask
-
-    def config_labels(self, mask: int) -> FrozenSet[Hashable]:
-        return frozenset(self.potential_goals[i] for i in bits_of(mask))
 
     def knowledge_all_unknown(self) -> KnowledgeVector:
         return KnowledgeVector.all_unknown(self.n_goals)

@@ -12,9 +12,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from typing import Dict, List, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
-from gussp.model import GusspModel, KnowledgeVector
+from gussp.model import GusspModel, KnowledgeVector, Observation, Status, bits_of
 
 Belief = Tuple[Tuple[int, float], ...]  # ((config_mask, prob), ...), sorted
 
@@ -236,3 +236,53 @@ def sample_config_reference(prior, u: float) -> int:
         if u < acc:
             return mask
     return next(reversed(items))
+
+
+# -- knowledge-vector and observation helpers --------------------------------
+#
+# Spelled-out forms of the bitmask tests the library inlines, kept for the
+# model tests' readability.
+
+
+def statuses(k: KnowledgeVector) -> Tuple[Status, ...]:
+    return tuple(k.status_of(i) for i in range(k.n))
+
+
+def is_consistent_with(k: KnowledgeVector, config_mask: int) -> bool:
+    """Could ``config_mask`` be the true configuration given ``k``?"""
+    return (config_mask & k.yes) == k.yes and not (config_mask & k.no)
+
+
+def observation_from_pairs(revealed: Dict[int, bool]) -> Observation:
+    yes = no = 0
+    for i, truth in revealed.items():
+        if truth:
+            yes |= 1 << i
+        else:
+            no |= 1 << i
+    return Observation(yes, no)
+
+
+def config_labels(model: GusspModel, mask: int) -> FrozenSet:
+    return frozenset(model.potential_goals[i] for i in bits_of(mask))
+
+
+# -- properness: the Python list walk the compiler replaced ------------------
+
+
+def dead_states_reference(transitions, goal, n_actions: int) -> List[int]:
+    """Ids of the states that cannot reach a goal, by a depth-first walk
+    back from the goals over Python lists of the transposed matrix; column
+    ``c`` of the transpose is the pair (state ``c // n_actions``, action
+    ``c % n_actions``)."""
+    back = transitions.T.tocsr()
+    ptr, nbr = back.indptr.tolist(), (back.indices // n_actions).tolist()
+    can_finish = goal.tolist()
+    stack = [r for r in range(len(can_finish)) if can_finish[r]]
+    while stack:
+        j = stack.pop()
+        for r in nbr[ptr[j]:ptr[j + 1]]:
+            if not can_finish[r]:
+                can_finish[r] = True
+                stack.append(r)
+    return [r for r in range(len(can_finish)) if not can_finish[r]]

@@ -13,7 +13,7 @@ from gussp.solvers import (
     value_iteration,
 )
 from gussp.heuristics import build_distance_oracle, make_heuristic
-from oracles import belief_space_values
+from oracles import belief_space_values, is_consistent_with
 
 
 def test_bellman_line4_partial_backup(line4_solved):
@@ -69,7 +69,7 @@ def test_vi_matches_belief_space_oracle(small_grids):
         configs = [g for g, p in model.prior.config_probs().items() if p > 0.0]
         for i in range(len(reach)):
             x = ssp.state(i)
-            support = frozenset(g for g in configs if x.k.is_consistent_with(g))
+            support = frozenset(g for g in configs if is_consistent_with(x.k, g))
             assert vi.table.value(i) == pytest.approx(by_support[(x.s, support)], abs=1e-7)
 
 
