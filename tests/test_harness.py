@@ -201,3 +201,32 @@ def test_vi_cell_reuses_precompiled_ssp(line4_model):
 def test_unknown_algorithm_rejected(line4_model):
     with pytest.raises(ValueError):
         run_cell(line4_model, CellSpec(name="x", algorithm="bfs"))
+
+
+@pytest.mark.parametrize("algorithm,executor", [
+    ("vi", "execute_policy"), ("flares", "execute_policy"),
+    ("det-cg", "execute_determinized"),
+])
+def test_run_cell_runs_each_trial_through_a_public_executor(
+    line4_model, monkeypatch, algorithm, executor,
+):
+    # perfbench times each episode by wrapping these two module attributes;
+    # a cell that stepped its episodes some other way would report none
+    from gussp import harness
+
+    calls = {"execute_policy": 0, "execute_determinized": 0}
+
+    def counting(name):
+        inner = getattr(harness, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(harness, name, counting(name))
+    spec = CellSpec(name="line4", algorithm=algorithm, trials=7, seed=0)
+    result = run_cell(line4_model, spec)
+    assert len(result.trials) == 7
+    assert calls == {name: 7 if name == executor else 0 for name in calls}
