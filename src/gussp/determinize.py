@@ -7,6 +7,8 @@ the task).  Two selection rules are provided: ``mlg`` picks the target with
 the maximum posterior marginal, ``cg`` the closest target by base-model
 distance.  Replanning is triggered only by disconfirmation of the current
 target; observations gathered en route simply sharpen the next selection.
+``execute_determinized`` is an ``act(s, k)`` closure over
+``harness_types.run_episode``, the loop that also runs solved policies.
 """
 
 from __future__ import annotations
@@ -20,18 +22,10 @@ from typing import Dict, List, Optional, Tuple
 from .compiler import ImproperModel, LazySsp, Row, StateBudgetExceeded, enumerate_reachable
 from .errors import NoEligibleGoal
 from .heuristics import DistanceOracle, build_distance_oracle
-from .model import (
-    Action,
-    GusspModel,
-    KnowledgeVector,
-    State,
-    Status,
-    apply_observation,
-    step_world,
-)
+from .model import Action, GusspModel, KnowledgeVector, State, Status
 from .rng import derive_seed
 from .solvers import ValueTable, lao_star, value_iteration
-from .harness_types import Episode, TraceRow
+from .harness_types import Episode, run_episode
 
 # assumed problems beyond this size fall back to lazy per-state solving
 _FULL_SOLVE_BUDGET = 200_000
@@ -248,73 +242,56 @@ class PlanCache:
 def execute_determinized(
     model: GusspModel,
     selector: str,
-    g_true,
+    g_mask: int,
     *,
+    plan_cache: PlanCache,
     seed: int = 0,
     oracle: Optional[DistanceOracle] = None,
-    plan_cache: Optional[PlanCache] = None,
     step_budget: int = 100_000,
     collect_trace: bool = False,
 ) -> Episode:
-    """Run one determinize-and-replan trial under true configuration ``g_true``.
+    """Run one determinize-and-replan trial under true configuration ``g_mask``.
 
-    ``selector`` is ``"mlg"`` or ``"cg"``.  The trial ends when the model's
-    termination condition holds; exceeding ``step_budget`` marks the trial
-    failed.  Planning effort is timed separately from execution.
+    ``run_episode`` with an actor that keeps one target and its plan from
+    ``plan_cache``, drawing target ties and world outcomes from one rng.
+    ``selector`` is ``"mlg"`` or ``"cg"``; ``cg`` needs the distance
+    ``oracle``.  Planning effort is timed separately from execution.
     """
     if selector not in ("mlg", "cg"):
         raise ValueError(f"unknown selector {selector!r}")
     if selector == "cg" and oracle is None:
-        oracle = build_distance_oracle(model)
-    if plan_cache is None:
-        plan_cache = PlanCache(model, oracle=oracle)
-    g_mask = model.config_mask(g_true)
-    k_world = model.collapsed_knowledge(g_mask)
+        raise ValueError("selector 'cg' needs a distance oracle")
     rng = random.Random(derive_seed("det", selector, seed))
-
-    s = model.start_state
-    k = model.knowledge_all_unknown()
-    cost = 0.0
-    steps = 0
-    plan_time = 0.0
-    targets: List[int] = []
-    trace: Optional[List[TraceRow]] = [] if collect_trace else None
     plan: Optional[DeterminizedPlan] = None
+    targets = 0
+    plan_time = 0.0
 
-    while not model.is_terminal(s, k):
-        if steps >= step_budget:
-            return Episode(cost, steps, True, trace, max(0, len(targets) - 1), plan_time)
-        if plan is not None and (
+    def act(s: State, k: KnowledgeVector) -> Action:
+        nonlocal plan, targets, plan_time
+        if plan is None or (
             k.status_of(plan.target) is Status.CONFIRMED_NOT_GOAL
             or model.target_done(s, plan.target)
         ):
-            plan = None
-        if plan is None:
             if selector == "mlg":
                 target = select_goal_mlg(model, s, k, rng)
             else:
                 target = select_goal_cg(model, s, k, oracle, rng)
-            targets.append(target)
-            plan, elapsed = plan_cache.plan_for(target, k, s)
-            plan_time += elapsed
-        sid = plan.ssp.intern(s)
-        a = plan.policy.get(sid)
+            targets += 1
+        else:
+            a = plan.policy.get(plan.ssp.intern(s))
+            if a is not None:
+                return a
+            target = plan.target  # stochastic drift off the solved subgraph
+        plan, elapsed = plan_cache.plan_for(target, k, s)
+        plan_time += elapsed
+        a = plan.policy.get(plan.ssp.intern(s))
         if a is None:
-            # stochastic drift off the solved subgraph: extend the same plan
-            _, elapsed = plan_cache.plan_for(plan.target, k, s)
-            plan_time += elapsed
-            a = plan.policy.get(sid)
-            if a is None:
-                raise NoEligibleGoal(f"plan for target {plan.target} has no action at {s!r}")
-        s2, paid, obs = step_world(model, s, a, g_mask, k_world, rng)
-        k2 = apply_observation(k, obs)
-        if trace is not None:
-            trace.append(TraceRow(steps, s, str(k), a, cost, str(obs)))
-        cost += paid
-        s, k = s2, k2
-        steps += 1
+            raise NoEligibleGoal(f"plan for target {target} has no action at {s!r}")
+        return a
 
-    cost += model.exit_cost(s)
-    if trace is not None:
-        trace.append(TraceRow(steps, s, str(k), None, cost, "-"))
-    return Episode(cost, steps, False, trace, max(0, len(targets) - 1), plan_time)
+    episode = run_episode(
+        model, g_mask, rng, act, step_budget=step_budget, collect_trace=collect_trace,
+    )
+    episode.replans = max(0, targets - 1)
+    episode.plan_time = plan_time
+    return episode

@@ -20,9 +20,9 @@ from typing import Callable, Dict, List, Optional, Sequence, TextIO, Tuple
 
 from .compiler import DEFAULT_STATE_BUDGET, CompiledSsp, Reachable, compile_gussp, enumerate_reachable
 from .determinize import PlanCache, execute_determinized
-from .harness_types import Episode, TraceRow
+from .harness_types import Episode, TraceRow, run_episode
 from .heuristics import DistanceOracle, build_distance_oracle, make_heuristic
-from .model import Action, GusspModel, apply_observation, step_world
+from .model import Action, GusspModel, KnowledgeVector, State
 from .rng import derive_seed, make_rng
 from .solvers import ValueTable, bellman_backup, flares, lao_star, value_iteration
 
@@ -107,36 +107,20 @@ def execute_policy(
 ) -> Episode:
     """Walk one episode under a solved (possibly partial) policy.
 
-    ``replan``, when given, picks the action at every visited state and may
-    keep solving as a side effect; trial-based planners use it to extend
-    their labeled region whenever execution leaves it.  Otherwise states
-    the policy never covered fall back to a one-step greedy choice on the
-    value table."""
-    s = model.start_state
-    k = model.knowledge_all_unknown()
-    k_true = model.collapsed_knowledge(g_mask)
-    i = ssp.intern(s, k)
-    cost = 0.0
-    steps = 0
-    trace: Optional[List[TraceRow]] = [] if collect_trace else None
-    while not model.is_terminal(s, k):
-        if steps >= step_budget:
-            return Episode(cost, steps, True, trace)
-        a = replan(i) if replan is not None else policy.get(i)
-        if a is None:
-            a = bellman_backup(ssp, table, i)[1]
-        s2, paid, obs = step_world(model, s, a, g_mask, k_true, rng)
-        k2 = apply_observation(k, obs)
-        if trace is not None:
-            trace.append(TraceRow(steps, s, str(k), a, cost, str(obs)))
-        cost += paid
-        s, k = s2, k2
+    ``run_episode`` with an actor over the interned ``(s, k)``.  ``replan``,
+    when given, picks the action at every visited state and may keep solving
+    as a side effect; trial-based planners use it to extend their labeled
+    region whenever execution leaves it.  Otherwise states the policy never
+    covered fall back to a one-step greedy choice on the value table."""
+
+    def act(s: State, k: KnowledgeVector) -> Action:
         i = ssp.intern(s, k)
-        steps += 1
-    cost += model.exit_cost(s)
-    if trace is not None:
-        trace.append(TraceRow(steps, s, str(k), None, cost, "-"))
-    return Episode(cost, steps, False, trace)
+        a = replan(i) if replan is not None else policy.get(i)
+        return a if a is not None else bellman_backup(ssp, table, i)[1]
+
+    return run_episode(
+        model, g_mask, rng, act, step_budget=step_budget, collect_trace=collect_trace,
+    )
 
 
 def _config_string(g_mask: int) -> str:

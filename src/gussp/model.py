@@ -554,9 +554,9 @@ def step_world(
 
     Outcomes and costs come from the model evaluated at ``k_true``, the
     fully collapsed knowledge vector of ``g_mask`` (the world knows the
-    truth); callers build it once per episode with
-    ``model.collapsed_knowledge(g_mask)``.  The returned observation is
-    what the agent gets to see.
+    truth); the episode loop, ``harness_types.run_episode``, builds it once
+    per episode with ``model.collapsed_knowledge(g_mask)``.  The returned
+    observation is what the agent gets to see.
     """
     paid = model.step_cost(s, a, k_true)
     rows = model.transition_rows(s, a, k_true)

@@ -14,6 +14,11 @@ from gussp.heuristics import build_distance_oracle
 from gussp.model import KnowledgeVector
 
 
+@pytest.fixture(scope="module")
+def line4_oracle(line4_model):
+    return build_distance_oracle(line4_model)
+
+
 def test_mlg_prefers_higher_marginal(line4_model):
     # rule nothing out but skew the prior by conditioning: after seeing the
     # near cell is no goal, only the far goal remains eligible
@@ -58,16 +63,17 @@ def test_assumed_problem_plans_to_target(line4_model):
     assert ssp.is_goal(ssp.intern((3, 0)))
 
 
-def test_plan_cache_shared_across_trials(line4_model):
-    cache = PlanCache(line4_model)
+def test_plan_cache_shared_across_trials(line4_model, line4_oracle):
+    cache = PlanCache(line4_model, oracle=line4_oracle)
     for trial in range(6):
         execute_determinized(
-            line4_model, "cg", 0b10, seed=trial, plan_cache=cache
+            line4_model, "cg", 0b10, seed=trial, oracle=line4_oracle, plan_cache=cache
         )
     # one plan per (target, assumed knowledge) actually used; re-running
     # trials does not grow the cache
     n = len(cache)
-    execute_determinized(line4_model, "cg", 0b10, seed=99, plan_cache=cache)
+    execute_determinized(line4_model, "cg", 0b10, seed=99, oracle=line4_oracle,
+                         plan_cache=cache)
     assert len(cache) == n
 
 
@@ -84,30 +90,34 @@ def test_plan_cache_counts_plans_built(line4_model):
     assert len(cache) == 2
 
 
-def test_line4_trial_costs_by_config(line4_model):
+def test_line4_trial_costs_by_config(line4_model, line4_oracle):
     # closest-goal always heads to the near cell first
-    out1 = execute_determinized(line4_model, "cg", 0b01, seed=0)
+    det = dict(oracle=line4_oracle, plan_cache=PlanCache(line4_model, oracle=line4_oracle))
+    out1 = execute_determinized(line4_model, "cg", 0b01, seed=0, **det)
     assert out1.cost == pytest.approx(2.0) and out1.replans == 0
-    out2 = execute_determinized(line4_model, "cg", 0b10, seed=0)
+    out2 = execute_determinized(line4_model, "cg", 0b10, seed=0, **det)
     assert out2.cost == pytest.approx(3.0) and out2.replans == 1
-    out3 = execute_determinized(line4_model, "cg", 0b11, seed=0)
+    out3 = execute_determinized(line4_model, "cg", 0b11, seed=0, **det)
     assert out3.cost == pytest.approx(2.0) and out3.replans == 0
 
 
-def test_line4_expected_cost_matches_optimum(line4_model):
+def test_line4_expected_cost_matches_optimum(line4_model, line4_oracle):
     # E[cost] = 1/3 * (2 + 3 + 2) = 7/3: for this instance the baseline is
     # optimal, a useful fixed point for the harness statistics
     probs = {0b01: 1 / 3, 0b10: 1 / 3, 0b11: 1 / 3}
+    cache = PlanCache(line4_model, oracle=line4_oracle)
     mean = sum(
-        p * execute_determinized(line4_model, "cg", g, seed=1).cost
+        p * execute_determinized(line4_model, "cg", g, seed=1, oracle=line4_oracle,
+                                 plan_cache=cache).cost
         for g, p in probs.items()
     )
     assert mean == pytest.approx(7 / 3)
 
 
-def test_trace_collection(line4_model):
+def test_trace_collection(line4_model, line4_oracle):
     out = execute_determinized(
-        line4_model, "cg", 0b10, seed=0, collect_trace=True
+        line4_model, "cg", 0b10, seed=0, collect_trace=True, oracle=line4_oracle,
+        plan_cache=PlanCache(line4_model, oracle=line4_oracle),
     )
     assert out.trace is not None
     assert out.trace[0].state == (0, 0)
@@ -116,15 +126,31 @@ def test_trace_collection(line4_model):
     assert out.trace[-1].cost_so_far == pytest.approx(out.cost)
 
 
-def test_step_budget_marks_failure(line4_model):
-    out = execute_determinized(line4_model, "cg", 0b10, seed=0, step_budget=1)
+def test_step_budget_marks_failure(line4_model, line4_oracle):
+    out = execute_determinized(line4_model, "cg", 0b10, seed=0, step_budget=1,
+                               oracle=line4_oracle,
+                               plan_cache=PlanCache(line4_model, oracle=line4_oracle))
     assert out.failed
     assert out.steps == 1
 
 
 def test_selector_validation(line4_model):
     with pytest.raises(ValueError):
-        execute_determinized(line4_model, "nearest", 0b01)
+        execute_determinized(line4_model, "nearest", 0b01,
+                             plan_cache=PlanCache(line4_model))
+
+
+def test_cg_without_oracle_raises_before_the_first_step(line4_model, monkeypatch):
+    from gussp import harness_types
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("stepped the world")
+
+    monkeypatch.setattr(harness_types, "step_world", no_step)
+    cache = PlanCache(line4_model)
+    with pytest.raises(ValueError, match="oracle"):
+        execute_determinized(line4_model, "cg", 0b01, plan_cache=cache)
+    assert len(cache) == 0
 
 
 def test_rover_inner_plan_samples_cheaply():
