@@ -7,12 +7,17 @@ probability of that pattern given the current knowledge.  Goal states are
 absorbing with zero cost; a one-time terminal cost (if the model defines
 one) is folded into the expected cost of actions that can terminate.
 
-The compiled problem is generated lazily so heuristic-search solvers can
-work on instances far too large to enumerate.  :func:`enumerate_reachable`
-is the eager path used by value iteration, oracles, and debug dumps: its
-breadth-first walk writes a CSR transition matrix over (state, action)
-rows, a cost array and a goal mask straight into :class:`Reachable`,
-without filling the lazy row cache.  A fresh SSP numbers its states in that
+The compiled problem is generated lazily, one whole state at a time
+(``expand(i)``: every action's cost and successor row), so heuristic-search
+solvers can work on instances far too large to enumerate.  The base row,
+its reveal mask and the base cost of each (base state, action) are read
+once and shared by every knowledge vector; a row whose successors reveal
+nothing still unknown skips the revelation fold.
+:func:`enumerate_reachable` is the eager path used by value iteration,
+oracles, and debug dumps: its breadth-first walk expands each non-goal
+state once and writes a CSR transition matrix over (state, action) rows, a
+cost array and a goal mask straight into :class:`Reachable`, without
+filling the lazy row cache.  A fresh SSP numbers its states in that
 walk's discovery order, so the walk's rows are the compiled ids.  Its exact
 properness check is a vectorised walk back from the goals over the
 transposed matrix, level by level in numpy, with no per-edge Python objects.
@@ -23,7 +28,7 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, TextIO, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, TextIO, Tuple
 
 from .errors import ImproperModel, ModelError, StateBudgetExceeded
 from .model import Action, GusspModel, KnowledgeVector, State, PROB_TOL
@@ -49,35 +54,37 @@ class CompiledState:
 
 
 Row = Tuple[Tuple[int, float], ...]
+QRows = Tuple[Tuple[Action, float, Row], ...]
 
 
 class LazySsp:
     """Per-state rows memoised over a subclass's uncached ``expand``.
 
-    ``expand(i, a)`` returns the expected cost and the successor row of
-    ``a`` at ``i`` in one pass.  ``q_rows(i)``, the only cache, expands
-    every action of ``i`` in action order on its first request and keeps
-    one ``(action, cost, row)`` triple per action; ``successors`` and
-    ``cost`` index it.  ``goal_flags[i]`` marks the goal states.
-    :func:`enumerate_reachable` calls ``expand`` directly.
+    ``expand(i)`` expands every action of ``i`` in one pass and returns one
+    ``(action, cost, row)`` triple per action, in action order: the expected
+    cost and the successor row ``((j, p), ...)`` of that action.
+    ``q_rows(i)``, the only cache, memoises it; ``successors`` and ``cost``
+    index it.  ``goal_flags[i]`` marks the goal states.
+    :func:`enumerate_reachable` calls ``expand`` directly, once per
+    non-goal state.
     """
 
     def __init__(self, actions: Tuple[Action, ...]):
         self.actions = actions
         self.goal_flags: List[bool] = []
         self._action_index = {a: n for n, a in enumerate(actions)}
-        self._q_rows: Dict[int, Tuple[Tuple[Action, float, Row], ...]] = {}
+        self._q_rows: Dict[int, QRows] = {}
 
-    def expand(self, i: int, a: Action) -> Tuple[float, Row]:
+    def expand(self, i: int) -> QRows:
         raise NotImplementedError
 
     def is_goal(self, i: int) -> bool:
         return self.goal_flags[i]
 
-    def q_rows(self, i: int) -> Tuple[Tuple[Action, float, Row], ...]:
+    def q_rows(self, i: int) -> QRows:
         rows = self._q_rows.get(i)
         if rows is None:
-            rows = self._q_rows[i] = tuple((a, *self.expand(i, a)) for a in self.actions)
+            rows = self._q_rows[i] = self.expand(i)
         return rows
 
     def successors(self, i: int, a: Action) -> Row:
@@ -86,18 +93,32 @@ class LazySsp:
     def cost(self, i: int, a: Action) -> float:
         return self.q_rows(i)[self._action_index[a]][1]
 
+    def _goal_rows(self, i: int) -> QRows:
+        """A goal state's rows: every action stays put at zero cost."""
+        stay = ((i, 1.0),)
+        return tuple((a, 0.0, stay) for a in self.actions)
+
 
 class CompiledSsp(LazySsp):
     """Lazy finite SSP over (base state, knowledge vector) pairs.
 
     Base states are numbered once, in ``model.base_states`` order (``sid``),
     and knowledge vectors as they are first met (``kid``, keyed on their
-    ``yes`` and ``no`` masks).  A compiled state is keyed by the single int
-    ``sid + n_base * kid`` and interned to a dense id in discovery order.
-    Base rows ``model.transition(s, a)`` are memoised per ``(sid, a)`` and
-    shared by every knowledge vector; the ``knowledge_effects`` hook is
-    still called on every expansion and wins when it answers.  Instances
-    are not thread-safe: every solve compiles its own.
+    ``yes`` and ``no`` masks).  Compiled states get dense ids in discovery
+    order; ``_ids[kid][sid]`` holds the id of ``(sid, kid)``, or ``None``
+    before it is met.
+
+    ``expand(i)`` does the per-state work once and then walks the actions.
+    The ``knowledge_effects`` and ``knowledge_step_cost`` hooks are called
+    once per (state, action) expansion and win when they answer.  Otherwise
+    the base dynamics are shared by every knowledge vector: per ``(sid, a)``
+    the checked base row ``model.transition(s, a)``, the same row with
+    repeated successors merged in first-seen order, the OR of its
+    successors' reveal masks and ``model.cost(s, a)`` are each read once
+    and kept.  When no successor of the base row reveals a goal still
+    unknown, the row's successors stay under the current knowledge vector
+    and are plain id lookups; only the other rows run the revelation fold.
+    Instances are not thread-safe: every solve compiles its own.
     """
 
     def __init__(self, model: GusspModel):
@@ -109,11 +130,14 @@ class CompiledSsp(LazySsp):
         self._reveal = [model.reveal_indices(s) for s in self._base]
         self._kid: Dict[int, int] = {}
         self._kvs: List[KnowledgeVector] = []
-        self._ids: Dict[int, int] = {}
+        self._ids: List[List[Optional[int]]] = []
         self._sids: List[int] = []
         self._kids: List[int] = []
-        # per action, per sid: the base row as ((sid', p), ...), once met
-        self._rows = {a: [None] * self._n_base for a in self.actions}
+        # per sid * len(actions) + action position, once read: the base row
+        # as (row, merged row, reveal mask) and the base cost
+        n_pairs = self._n_base * len(self.actions)
+        self._base_rows: List[Optional[Tuple[Row, Row, int]]] = [None] * n_pairs
+        self._base_costs: List[Optional[float]] = [None] * n_pairs
         self._branch_cache: Dict[int, Tuple[Tuple[int, float], ...]] = {}
         self.start_id = self.intern(model.start_state, model.knowledge_all_unknown())
 
@@ -126,10 +150,11 @@ class CompiledSsp(LazySsp):
         if kid is None:
             kid = self._kid[key] = len(self._kvs)
             self._kvs.append(k)
+            self._ids.append([None] * self._n_base)
         return kid
 
     def _add(self, sid: int, kid: int) -> int:
-        i = self._ids[sid + self._n_base * kid] = len(self._sids)
+        i = self._ids[kid][sid] = len(self._sids)
         self._sids.append(sid)
         self._kids.append(kid)
         self.goal_flags.append(self.model.is_terminal(self._base[sid], self._kvs[kid]))
@@ -140,7 +165,7 @@ class CompiledSsp(LazySsp):
         if sid is None:
             raise ModelError(f"{s!r} is not a base state")
         kid = self._kid_of(k)
-        i = self._ids.get(sid + self._n_base * kid)
+        i = self._ids[kid][sid]
         return self._add(sid, kid) if i is None else i
 
     def state(self, i: int) -> CompiledState:
@@ -186,47 +211,84 @@ class CompiledSsp(LazySsp):
             )
         return tuple(out)
 
-    def expand(self, i: int, a: Action) -> Tuple[float, Row]:
-        goal_flags = self.goal_flags
-        if goal_flags[i]:
-            return 0.0, ((i, 1.0),)
-        sid, kid = self._sids[i], self._kids[i]
-        s, k = self._base[sid], self._kvs[kid]
-        model = self.model
-        rows = None
-        if model.knowledge_effects is not None:
-            rows = model.knowledge_effects(s, a, k)
-        if rows is None:
-            memo = self._rows[a]
-            row = memo[sid]
-            if row is None:
-                row = memo[sid] = self._sid_row(model.transition(s, a), s, k, a)
-        else:
-            row = self._sid_row(rows, s, k, a)
+    def _base_row(self, s: State, k: KnowledgeVector, a: Action) -> Tuple[Row, Row, int]:
+        """``model.transition(s, a)`` checked, then merged by successor in
+        first-seen order, and the OR of its successors' reveal masks."""
+        row = self._sid_row(self.model.transition(s, a), s, k, a)
+        merged: Dict[int, float] = {}
+        mask = 0
+        for sid2, p in row:
+            merged[sid2] = merged.get(sid2, 0.0) + p
+            mask |= self._reveal[sid2]
+        return row, tuple(merged.items()), mask
+
+    def _fold(self, kid: int, unknown: int, row: Row) -> Row:
+        """The compiled successors of base ``row`` under ``kid``: each
+        outcome split by what its arrival reveals, repeated ids merged in
+        first-seen order."""
         ids, add, branches = self._ids, self._add, self._revelation_branches
-        n, reveal, unknown = self._n_base, self._reveal, model.full_mask & ~(k.yes | k.no)
-        here = n * kid
+        reveal, here = self._reveal, ids[kid]
         acc: Dict[int, float] = {}
         for sid2, p in row:
             revealed = reveal[sid2] & unknown
             if not revealed:  # p * 1.0 == p: the knowledge vector stays put
-                j = ids.get(sid2 + here)
+                j = here[sid2]
                 if j is None:
                     j = add(sid2, kid)
                 acc[j] = acc.get(j, 0.0) + p
                 continue
             for kid2, q in branches(kid, revealed):
-                j = ids.get(sid2 + n * kid2)
+                j = ids[kid2][sid2]
                 if j is None:
                     j = add(sid2, kid2)
                 acc[j] = acc.get(j, 0.0) + p * q
-        out = tuple(acc.items())
-        c = model.step_cost(s, a, k)
-        if model.terminal_cost is not None:
-            for j, p in out:
-                if goal_flags[j]:
-                    c += p * model.exit_cost(self._base[self._sids[j]])
-        return c, out
+        return tuple(acc.items())
+
+    def expand(self, i: int) -> QRows:
+        goal_flags = self.goal_flags
+        if goal_flags[i]:
+            return self._goal_rows(i)
+        sid, kid = self._sids[i], self._kids[i]
+        s, k = self._base[sid], self._kvs[kid]
+        model = self.model
+        effects, step_cost = model.knowledge_effects, model.knowledge_step_cost
+        exit_cost = model.exit_cost if model.terminal_cost is not None else None
+        unknown = model.full_mask & ~(k.yes | k.no)
+        here, add = self._ids[kid], self._add
+        base_rows, base_costs = self._base_rows, self._base_costs
+        pair = sid * len(self.actions)
+        out = []
+        for a in self.actions:
+            rows = None if effects is None else effects(s, a, k)
+            if rows is not None:
+                succ = self._fold(kid, unknown, self._sid_row(rows, s, k, a))
+            else:
+                memo = base_rows[pair]
+                if memo is None:
+                    memo = base_rows[pair] = self._base_row(s, k, a)
+                row, merged, mask = memo
+                if mask & unknown:
+                    succ = self._fold(kid, unknown, row)
+                else:
+                    succ = []
+                    for sid2, p in merged:
+                        j = here[sid2]
+                        if j is None:
+                            j = add(sid2, kid)
+                        succ.append((j, p))
+                    succ = tuple(succ)
+            c = None if step_cost is None else step_cost(s, a, k)
+            if c is None:
+                c = base_costs[pair]
+                if c is None:
+                    c = base_costs[pair] = model.cost(s, a)
+            if exit_cost is not None:
+                for j, p in succ:
+                    if goal_flags[j]:
+                        c += p * exit_cost(self._base[self._sids[j]])
+            out.append((a, c, succ))
+            pair += 1
+        return tuple(out)
 
 
 @dataclass
@@ -322,13 +384,13 @@ def enumerate_reachable(
 ) -> Reachable:
     """Breadth-first closure from the start state, written into CSR arrays.
 
-    Every non-goal (state, action) pair is expanded once through
-    ``ssp.expand``, and its row goes straight into the arrays of
-    :class:`Reachable`; the lazy row cache is left alone.  Goal states are
-    absorbing and not expanded.  The walk takes ids ``0, 1, 2, ...`` as its
-    queue: ``expand`` numbers new successors in the order the walk meets
-    them, so on an SSP no lazy solver has touched the start is id 0 and
-    each newly found state is the next id.  Raises :class:`ValueError` if
+    Every non-goal state is expanded once through ``ssp.expand``, and its
+    rows go straight into the arrays of :class:`Reachable`; the lazy row
+    cache is left alone.  Goal states are absorbing and not expanded.  The
+    walk takes ids ``0, 1, 2, ...`` as its queue: ``expand`` numbers new
+    successors in the order the walk meets them, so on an SSP no lazy
+    solver has touched the start is id 0 and each newly found state is the
+    next id.  Raises :class:`ValueError` if
     the SSP was numbered otherwise, :class:`StateBudgetExceeded` past
     ``state_budget`` states and, when ``require_proper``,
     :class:`ImproperModel` if some reachable state cannot reach a goal; that
@@ -345,12 +407,12 @@ def enumerate_reachable(
     indptr, indices, data, cost = array("i", [0]), array("i"), array("d"), array("d")
     expand, is_goal = ssp.expand, ssp.is_goal
     add_r, add_p = indices.append, data.append
+    goal_rows = tuple((a, 0.0, ()) for a in actions)  # absorbing, not expanded
     i, n = 0, 1  # n: states found so far
     while i < n:
         g = is_goal(i)
         goal.append(g)
-        for a in actions:
-            c, succ = (0.0, ()) if g else expand(i, a)
+        for _a, c, succ in goal_rows if g else expand(i):
             cost.append(c)
             for j, p in succ:
                 if j >= n:

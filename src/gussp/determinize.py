@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .compiler import ImproperModel, LazySsp, Row, StateBudgetExceeded, enumerate_reachable
+from .compiler import ImproperModel, LazySsp, QRows, StateBudgetExceeded, enumerate_reachable
 from .errors import NoEligibleGoal
 from .heuristics import DistanceOracle, build_distance_oracle
 from .model import Action, GusspModel, KnowledgeVector, State, Status
@@ -117,21 +117,24 @@ class AssumedTargetSsp(LazySsp):
     def state(self, i: int) -> State:
         return self._states[i]
 
-    def expand(self, i: int, a: Action) -> Tuple[float, Row]:
+    def expand(self, i: int) -> QRows:
         if self.goal_flags[i]:
-            return 0.0, ((i, 1.0),)
-        s = self._states[i]
-        out = tuple(
-            (self.intern(s2), p)
-            for s2, p in self.model.transition_rows(s, a, self.k)
-            if p > 0.0
-        )
-        c = self.model.step_cost(s, a, self.k)
-        if self.model.terminal_cost is not None:
-            for j, p in out:
-                if self.goal_flags[j] and self.model.is_terminal(self._states[j], self.k):
-                    c += p * self.model.exit_cost(self._states[j])
-        return c, out
+            return self._goal_rows(i)
+        s, model = self._states[i], self.model
+        out = []
+        for a in self.actions:
+            succ = tuple(
+                (self.intern(s2), p)
+                for s2, p in model.transition_rows(s, a, self.k)
+                if p > 0.0
+            )
+            c = model.step_cost(s, a, self.k)
+            if model.terminal_cost is not None:
+                for j, p in succ:
+                    if self.goal_flags[j] and model.is_terminal(self._states[j], self.k):
+                        c += p * model.exit_cost(self._states[j])
+            out.append((a, c, succ))
+        return tuple(out)
 
 
 class _AnchorHeuristic:

@@ -5,9 +5,11 @@ keyed by compiled-state id, goal states are pinned at zero, and ties between
 equal-valued actions always resolve to the action earliest in the model's
 action order.  Any :class:`~gussp.compiler.LazySsp` can be solved: solvers
 read ``start_id``, ``actions``, ``state(i)``, the ``goal_flags`` list and
-``q_rows(i)``, one ``(action, cost, successor row)`` per action, or its
-``successors(i, a)`` view.  Both the compiled problem and the
-determinization's single-target problems qualify.
+``q_rows(i)``, the memoised ``expand(i)`` with one ``(action, cost,
+successor row)`` per action in action order, or its ``successors(i, a)``
+view.  Value iteration reads the same rows from
+:func:`~gussp.compiler.enumerate_reachable`'s arrays instead.  Both the
+compiled problem and the determinization's single-target problems qualify.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import io
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -200,6 +201,14 @@ def test_state_budget(line4_model):
         enumerate_reachable(ssp, state_budget=3)
 
 
+def test_state_budget_boundary():
+    # rover6 has exactly 855 compiled states: a budget of 855 holds them all
+    _params, model = load_instance(str(INSTANCES / "rover6.txt"))
+    assert len(enumerate_reachable(compile_gussp(model), state_budget=855)) == 855
+    with pytest.raises(StateBudgetExceeded, match="more than 854"):
+        enumerate_reachable(compile_gussp(model), state_budget=854)
+
+
 def test_intern_is_idempotent(line4_model):
     ssp = compile_gussp(line4_model)
     k = KnowledgeVector(2)
@@ -359,3 +368,108 @@ def test_non_base_successor_is_a_model_error():
         enumerate_reachable(compile_gussp(jump_model(effects_target=99)))
     with pytest.raises(ModelError, match="99 is not a base state"):
         ssp.intern(99, KnowledgeVector(2))
+
+
+def test_repeated_revealing_outcomes_fold_one_by_one():
+    """A base row that reaches the potential goal 1 twice splits each
+    outcome by the revelation separately and sums the products, as the
+    unmerged fold always has: 0.05 q + 0.7 q, not (0.05 + 0.7) q, which
+    rounds differently."""
+    model = GusspModel(
+        base_states=[0, 1, 2],
+        actions=("go",),
+        transition=lambda s, a: ((1, 0.05), (2, 0.25), (1, 0.7)) if s == 0 else ((0, 1.0),),
+        cost=lambda s, a: 1.0,
+        start_state=0,
+        potential_goals=(1, 2),
+        prior=GoalPrior.uniform(2),
+    )
+    ssp = compile_gussp(model)
+    row = [(str(ssp.state(j)), p) for j, p in ssp.successors(ssp.start_id, "go")]
+    q_no, q_yes = 1 / 3, 1 / 3 + 1 / 3
+    assert row == [
+        ("(1, NU)", 0.05 * q_no + 0.7 * q_no),
+        ("(1, GU)", 0.05 * q_yes + 0.7 * q_yes),
+        ("(2, UN)", 0.25 * q_no),
+        ("(2, UG)", 0.25 * q_yes),
+    ]
+    assert row[0][1] != (0.05 + 0.7) * q_no
+
+
+HOOKS = ("knowledge_effects", "knowledge_step_cost", "transition", "cost")
+
+
+def count_calls(model):
+    """Wrap the model's hooks and base dynamics so each call is counted,
+    keyed on its arguments: ``(s, a, k)`` for the hooks, ``(s, a)`` else."""
+    calls = {name: Counter() for name in HOOKS}
+    for name, seen in calls.items():
+        fn = getattr(model, name)
+        if fn is None:
+            continue
+
+        def counted(*args, fn=fn, seen=seen):
+            seen[args] += 1
+            return fn(*args)
+
+        setattr(model, name, counted)
+    return calls
+
+
+def lazy_walk(ssp):
+    """``q_rows`` on every state of ``ssp``, in id order, as it grows."""
+    i = 0
+    while i < len(ssp):
+        ssp.q_rows(i)
+        i += 1
+
+
+@pytest.mark.parametrize("path", ["eager", "lazy"])
+def test_hook_contract(path):
+    """The knowledge hooks run once per (non-goal state, action) expansion;
+    the base dynamics and cost are read at most once per (s, a)."""
+    _params, model = load_instance(str(INSTANCES / "rover6.txt"))
+    ssp = compile_gussp(model)
+    calls = count_calls(model)
+    if path == "eager":
+        enumerate_reachable(ssp)
+    else:
+        lazy_walk(ssp)
+        lazy_walk(ssp)  # the rows are memoised: no hook runs again
+    expanded = Counter(
+        (ssp.state(i).s, a, ssp.state(i).k)
+        for i in range(len(ssp)) if not ssp.is_goal(i)
+        for a in ssp.actions
+    )
+    assert len(ssp) == 855
+    assert calls["knowledge_effects"] == expanded
+    assert calls["knowledge_step_cost"] == expanded
+    for name in ("transition", "cost"):
+        assert calls[name] and max(calls[name].values()) == 1, name
+
+
+def test_answered_hook_skips_the_base_row():
+    """A hook that always answers at (1, jump) wins there, so the base row
+    of (1, jump) is never read, on either path."""
+
+    def effects(s, a, k):
+        return ((2, 1.0),) if (s, a) == (1, "jump") else None
+
+    for walk in (enumerate_reachable, lazy_walk):
+        model = GusspModel(
+            base_states=[0, 1, 2, 3],
+            actions=("fwd", "jump"),
+            transition=lambda s, a: ((min(s + 1, 3) if a == "fwd" else s, 1.0),),
+            cost=lambda s, a: 1.0,
+            start_state=0,
+            potential_goals=(2, 3),
+            prior=GoalPrior.uniform(2),
+            landmarks={1: (3,)},
+            knowledge_effects=effects,
+        )
+        ssp = compile_gussp(model)
+        calls = count_calls(model)
+        walk(ssp)
+        assert calls["knowledge_effects"][(1, "jump", KnowledgeVector(2, no=0b10))] == 1
+        assert (1, "fwd") in calls["transition"]
+        assert (1, "jump") not in calls["transition"]
