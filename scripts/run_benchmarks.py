@@ -50,7 +50,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 seed=args.seed,
                 epsilon=args.epsilon,
                 flares_horizon=args.flares_horizon,
-                state_budget=args.state_budget,
             )))
 
     results = [run_cell(model, spec) for model, spec in jobs]

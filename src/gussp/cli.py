@@ -71,8 +71,6 @@ def add_cell_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--epsilon", type=_EPSILON, default=1e-6)
     parser.add_argument("--flares-horizon", type=_horizon, default=1,
                         help="labeling depth; 'inf' checks the full envelope")
-    parser.add_argument("--state-budget", type=_checked(int, lambda n: n > 0, "positive"),
-                        default=DEFAULT_STATE_BUDGET)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -86,6 +84,8 @@ def make_parser() -> argparse.ArgumentParser:
     plan.add_argument("instance", help="instance file path")
     plan.add_argument("--algorithm", choices=ALGORITHMS, default="vi")
     add_cell_options(plan)
+    plan.add_argument("--state-budget", type=_checked(int, lambda n: n > 0, "positive"),
+                      default=DEFAULT_STATE_BUDGET)
     plan.add_argument("--out", help="report CSV path (default: stdout)")
     plan.add_argument("--per-trial", help="write per-trial CSV here")
     plan.add_argument("--trace", help="write executed trajectories here")

@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 from gussp.cli import main
-from gussp.compiler import DEFAULT_STATE_BUDGET
 from gussp.harness import ALGORITHMS, REPORT_FIELDS
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
@@ -134,7 +133,6 @@ def _run_benchmarks_script():
     ("--algorithms", "vi", "--epsilon", "0"),
     ("--algorithms", "lao", "--heuristic", "foo"),
     ("--trials=-1",),
-    ("--state-budget", "0"),
 ])
 def test_run_benchmarks_bad_arguments_exit_2_before_any_cell(monkeypatch, argv):
     script = _run_benchmarks_script()
@@ -202,16 +200,6 @@ def test_flares_horizon_values_reach_the_cell(monkeypatch, tool, text, horizon):
     with pytest.raises(_CellReached) as exc:
         run("--flares-horizon", text)
     assert exc.value.args[0].flares_horizon == horizon
-
-
-@pytest.mark.parametrize("tool", ["plan", "script"])
-@pytest.mark.parametrize("args, budget", [((), DEFAULT_STATE_BUDGET),
-                                          (("--state-budget", "855"), 855)])
-def test_state_budget_values_reach_the_cell(monkeypatch, tool, args, budget):
-    run = _flares_runner(monkeypatch, tool)
-    with pytest.raises(_CellReached) as exc:
-        run(*args)
-    assert exc.value.args[0].state_budget == budget
 
 
 def test_zero_trials_is_valid(capsys):

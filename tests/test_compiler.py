@@ -315,14 +315,14 @@ def test_dead_end_after_revelation_is_improper():
     assert [str(ssp.state(i)) for i in range(len(reach))] == ["(0, UU)", "(1, NU)", "(1, GU)", "(2, NU)"]
 
 
-def jump_model(effects_target=3):
+def jump_model(effects_target=3, effects=None):
     """0 -> 1 -> 2 -> 3 by ``fwd``; ``jump`` stays put, except that the
     knowledge hook sends it to ``effects_target`` once goal 3 is confirmed.
     Arrival at the landmark 1 reveals goal 3, so base state 1 is reached
     under two knowledge vectors: ``UN`` (first in discovery order) and
-    ``UG``."""
+    ``UG``.  ``effects``, if given, replaces that hook."""
 
-    def effects(s, a, k):
+    def jump_when_confirmed(s, a, k):
         if a == "jump" and k.yes & 0b10:
             return ((effects_target, 1.0),)
         return None
@@ -336,7 +336,7 @@ def jump_model(effects_target=3):
         potential_goals=(2, 3),
         prior=GoalPrior.uniform(2),
         landmarks={1: (3,)},
-        knowledge_effects=effects,
+        knowledge_effects=effects or jump_when_confirmed,
     )
 
 
@@ -456,17 +456,7 @@ def test_answered_hook_skips_the_base_row():
         return ((2, 1.0),) if (s, a) == (1, "jump") else None
 
     for walk in (enumerate_reachable, lazy_walk):
-        model = GusspModel(
-            base_states=[0, 1, 2, 3],
-            actions=("fwd", "jump"),
-            transition=lambda s, a: ((min(s + 1, 3) if a == "fwd" else s, 1.0),),
-            cost=lambda s, a: 1.0,
-            start_state=0,
-            potential_goals=(2, 3),
-            prior=GoalPrior.uniform(2),
-            landmarks={1: (3,)},
-            knowledge_effects=effects,
-        )
+        model = jump_model(effects=effects)
         ssp = compile_gussp(model)
         calls = count_calls(model)
         walk(ssp)
