@@ -16,19 +16,17 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .compiler import ImproperModel, LazySsp, QRows, StateBudgetExceeded, enumerate_reachable
+from .compiler import LazySsp, QRows, enumerate_reachable
 from .errors import NoEligibleGoal
-from .heuristics import DistanceOracle, build_distance_oracle
+# build_distance_oracle and lao_star go unused: perfbench/spans.py patches them here
+from .heuristics import DistanceOracle, build_distance_oracle  # noqa: F401
 from .model import Action, GusspModel, KnowledgeVector, State, Status
 from .rng import derive_seed
-from .solvers import ValueTable, lao_star, value_iteration
+from .solvers import ValueTable, lao_star, value_iteration  # noqa: F401
 from .harness_types import Episode, run_episode
-
-# assumed problems beyond this size fall back to lazy per-state solving
-_FULL_SOLVE_BUDGET = 200_000
 
 
 def _eligible(model: GusspModel, s: State, k: KnowledgeVector) -> List[int]:
@@ -137,41 +135,17 @@ class AssumedTargetSsp(LazySsp):
         return tuple(out)
 
 
-class _AnchorHeuristic:
-    """Base distance to the nearest site that can finish the assumed plan.
-
-    Anchors are the assumed target plus every goal already confirmed true;
-    completion actions (sampling, saving) only work at such sites, and
-    projected-goal domains price the trip at zero, so the minimum anchor
-    distance never exceeds the plan cost on the bundled domain family.
-    The plans stay proper either way; only their tip ordering depends on
-    this estimate."""
-
-    def __init__(self, ssp: AssumedTargetSsp, oracle: DistanceOracle):
-        self.ssp = ssp
-        self.oracle = oracle
-        k = ssp.k
-        self.anchors = [
-            i for i in range(ssp.model.n_goals)
-            if i == ssp.target or k.status_of(i) is Status.CONFIRMED_GOAL
-        ]
-
-    def __call__(self, i: int) -> float:
-        if self.ssp.is_goal(i):
-            return 0.0
-        s = self.ssp.state(i)
-        return min(self.oracle.dist(s, a) for a in self.anchors)
-
-
 @dataclass
 class DeterminizedPlan:
-    """A solved single-target plan, reusable across replans and trials."""
+    """A solved single-target plan, reusable across replans and trials.
+
+    ``policy`` covers every non-goal state of ``ssp`` reachable from the
+    base start, so a walk that stays on the assumption never leaves it."""
 
     target: int
     ssp: AssumedTargetSsp
     table: ValueTable
-    policy: Dict[int, Action] = field(default_factory=dict)
-    heuristic: Optional[_AnchorHeuristic] = None
+    policy: Dict[int, Action]
 
 
 class PlanCache:
@@ -182,62 +156,36 @@ class PlanCache:
     vectors that confirm the same set of true sites produce the same
     planning problem.  The assumed vector is therefore canonicalized to
     "target plus confirmed sites true, everything else false", which lets
-    runs that merely ruled out different decoys share one plan."""
+    runs that merely ruled out different decoys share one plan.
 
-    def __init__(
-        self,
-        model: GusspModel,
-        epsilon: float = 1e-6,
-        oracle: Optional[DistanceOracle] = None,
-    ):
+    Each plan is one exact solve: ``enumerate_reachable`` over the assumed
+    problem's base states, then value iteration.  An assumed problem with a
+    reachable state that cannot finish raises ``ImproperModel``, and no plan
+    is cached for it."""
+
+    def __init__(self, model: GusspModel, epsilon: float = 1e-6):
         self.model = model
         self.epsilon = epsilon
-        self._oracle = oracle
         self._plans: Dict[Tuple[int, int], DeterminizedPlan] = {}
 
     def __len__(self) -> int:
         """The number of plans built so far."""
         return len(self._plans)
 
-    def plan_for(self, target: int, k: KnowledgeVector, s: State) -> Tuple[DeterminizedPlan, float]:
-        """Return a plan whose policy covers ``s``, solving or extending as needed."""
+    def plan_for(self, target: int, k: KnowledgeVector) -> Tuple[DeterminizedPlan, float]:
+        """Return the plan for ``target`` under ``k``, solving it on first use."""
         k_assumed = k.confirm(yes=1 << target)
         k_assumed = k_assumed.confirm(no=k_assumed.unknown_mask)
         key = (target, k_assumed.yes)
         plan = self._plans.get(key)
         t0 = time.perf_counter()
         if plan is None:
-            if self._oracle is None:
-                self._oracle = build_distance_oracle(self.model)
             ssp = AssumedTargetSsp(self.model, k_assumed, target)
-            h = _AnchorHeuristic(ssp, self._oracle)
-            plan = DeterminizedPlan(
-                target=target,
-                ssp=ssp,
-                table=ValueTable(default=h),
-                heuristic=h,
+            result = value_iteration(
+                ssp, reachable=enumerate_reachable(ssp), epsilon=self.epsilon
             )
+            plan = DeterminizedPlan(target, ssp, result.table, result.policy)
             self._plans[key] = plan
-            # base spaces are small, so one exact sweep over everything the
-            # walk could slip into beats re-solving from each strayed state
-            try:
-                reach = enumerate_reachable(ssp, _FULL_SOLVE_BUDGET)
-            except (ImproperModel, StateBudgetExceeded):
-                reach = None
-            if reach is not None:
-                result = value_iteration(ssp, reachable=reach, epsilon=self.epsilon)
-                plan.table = result.table
-                plan.policy.update(result.policy)
-        sid = plan.ssp.intern(s)
-        if sid not in plan.policy and not plan.ssp.is_goal(sid):
-            result = lao_star(
-                plan.ssp,
-                plan.heuristic,
-                epsilon=self.epsilon,
-                start=sid,
-                table=plan.table,
-            )
-            plan.policy.update(result.policy)
         elapsed = time.perf_counter() - t0
         return plan, elapsed
 
@@ -284,8 +232,10 @@ def execute_determinized(
             a = plan.policy.get(plan.ssp.intern(s))
             if a is not None:
                 return a
-            target = plan.target  # stochastic drift off the solved subgraph
-        plan, elapsed = plan_cache.plan_for(target, k, s)
+            # off the plan: re-plan this target under the current knowledge;
+            # if that plan has no action here either, NoEligibleGoal below
+            target = plan.target
+        plan, elapsed = plan_cache.plan_for(target, k)
         plan_time += elapsed
         a = plan.policy.get(plan.ssp.intern(s))
         if a is None:

@@ -183,7 +183,7 @@ def run_cell(
         selector = spec.algorithm[len("det-"):]
         if selector == "cg" and oracle is None:
             oracle = build_distance_oracle(model)
-        cache = PlanCache(model, epsilon=spec.epsilon, oracle=oracle)
+        cache = PlanCache(model, epsilon=spec.epsilon)
 
         def episode(g_mask: int, trial: int) -> Episode:
             return execute_determinized(

@@ -194,8 +194,8 @@ def lao_star(
     unexpanded fringe, and runs value iteration over the traced envelope
     until the greedy graph is closed and its residual is below ``epsilon``.
     With an admissible heuristic the start value matches full value
-    iteration.  Passing an existing ``table`` resumes from earlier work
-    (used by the replanning executors to share effort across solves).
+    iteration.  Passing an existing ``table`` (and a ``start`` inside it)
+    resumes from earlier work.
     """
     if table is None:
         table = ValueTable(default=heuristic)

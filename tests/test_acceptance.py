@@ -232,7 +232,7 @@ def test_criterion_05_line4_anchor_values(line4_solved):
     model = ssp.model
     oracle = build_distance_oracle(model)
     hpg = make_heuristic("hpg", ssp, oracle)
-    cache = PlanCache(model, oracle=oracle)
+    cache = PlanCache(model)
     costs = []
     for trial in range(10_000):
         g_mask = model.sample_config(make_rng("config", 5, trial))

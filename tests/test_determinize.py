@@ -9,9 +9,10 @@ from gussp.determinize import (
     select_goal_cg,
     select_goal_mlg,
 )
-from gussp.errors import NoEligibleGoal
+from gussp.errors import ImproperModel, NoEligibleGoal
+from gussp.harness import CellSpec, run_cell
 from gussp.heuristics import build_distance_oracle
-from gussp.model import KnowledgeVector
+from gussp.model import GoalPrior, GusspModel, KnowledgeVector
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +51,7 @@ def test_no_eligible_goal(line4_model):
 def test_assumed_problem_plans_to_target(line4_model):
     k = line4_model.knowledge_all_unknown()
     cache = PlanCache(line4_model)
-    plan, _t = cache.plan_for(1, k, (0, 0))
+    plan, _t = cache.plan_for(1, k)
     ssp = plan.ssp
     i = ssp.intern((0, 0))
     assert plan.policy[i] == "right"
@@ -64,7 +65,7 @@ def test_assumed_problem_plans_to_target(line4_model):
 
 
 def test_plan_cache_shared_across_trials(line4_model, line4_oracle):
-    cache = PlanCache(line4_model, oracle=line4_oracle)
+    cache = PlanCache(line4_model)
     for trial in range(6):
         execute_determinized(
             line4_model, "cg", 0b10, seed=trial, oracle=line4_oracle, plan_cache=cache
@@ -80,19 +81,18 @@ def test_plan_cache_shared_across_trials(line4_model, line4_oracle):
 def test_plan_cache_counts_plans_built(line4_model):
     cache = PlanCache(line4_model)
     k = line4_model.knowledge_all_unknown()
-    s = line4_model.start_state
     assert len(cache) == 0
-    cache.plan_for(0, k, s)
+    cache.plan_for(0, k)
     # ruling out the other site leaves the assumed goal set, and the plan, as is
-    cache.plan_for(0, k.confirm(no=0b10), s)
+    cache.plan_for(0, k.confirm(no=0b10))
     assert len(cache) == 1
-    cache.plan_for(1, k, s)
+    cache.plan_for(1, k)
     assert len(cache) == 2
 
 
 def test_line4_trial_costs_by_config(line4_model, line4_oracle):
     # closest-goal always heads to the near cell first
-    det = dict(oracle=line4_oracle, plan_cache=PlanCache(line4_model, oracle=line4_oracle))
+    det = dict(oracle=line4_oracle, plan_cache=PlanCache(line4_model))
     out1 = execute_determinized(line4_model, "cg", 0b01, seed=0, **det)
     assert out1.cost == pytest.approx(2.0) and out1.replans == 0
     out2 = execute_determinized(line4_model, "cg", 0b10, seed=0, **det)
@@ -105,7 +105,7 @@ def test_line4_expected_cost_matches_optimum(line4_model, line4_oracle):
     # E[cost] = 1/3 * (2 + 3 + 2) = 7/3: for this instance the baseline is
     # optimal, a useful fixed point for the harness statistics
     probs = {0b01: 1 / 3, 0b10: 1 / 3, 0b11: 1 / 3}
-    cache = PlanCache(line4_model, oracle=line4_oracle)
+    cache = PlanCache(line4_model)
     mean = sum(
         p * execute_determinized(line4_model, "cg", g, seed=1, oracle=line4_oracle,
                                  plan_cache=cache).cost
@@ -117,7 +117,7 @@ def test_line4_expected_cost_matches_optimum(line4_model, line4_oracle):
 def test_trace_collection(line4_model, line4_oracle):
     out = execute_determinized(
         line4_model, "cg", 0b10, seed=0, collect_trace=True, oracle=line4_oracle,
-        plan_cache=PlanCache(line4_model, oracle=line4_oracle),
+        plan_cache=PlanCache(line4_model),
     )
     assert out.trace is not None
     assert out.trace[0].state == (0, 0)
@@ -129,7 +129,7 @@ def test_trace_collection(line4_model, line4_oracle):
 def test_step_budget_marks_failure(line4_model, line4_oracle):
     out = execute_determinized(line4_model, "cg", 0b10, seed=0, step_budget=1,
                                oracle=line4_oracle,
-                               plan_cache=PlanCache(line4_model, oracle=line4_oracle))
+                               plan_cache=PlanCache(line4_model))
     assert out.failed
     assert out.steps == 1
 
@@ -162,6 +162,37 @@ def test_rover_inner_plan_samples_cheaply():
     ))
     k = model.knowledge_all_unknown()
     cache = PlanCache(model)
-    plan, _t = cache.plan_for(0, k, (0, 0, False))
+    plan, _t = cache.plan_for(0, k)
     # two moves plus the confirmed-site sample
     assert plan.table.value(plan.ssp.intern((0, 0, False))) == pytest.approx(4.0)
+
+
+def trap_line_model():
+    """Start at 1 between goal sites 0 and 3; ``right`` from 2 enters 3,
+    which no action leaves, so assuming target 0 strands state 3."""
+
+    def transition(s, a):
+        if s == 3:
+            return ((3, 1.0),)
+        return ((s + 1 if a == "right" else max(s - 1, 0), 1.0),)
+
+    return GusspModel(
+        base_states=[0, 1, 2, 3],
+        actions=("left", "right"),
+        transition=transition,
+        cost=lambda s, a: 1.0,
+        start_state=1,
+        potential_goals=(0, 3),
+        prior=GoalPrior.uniform(2),
+    )
+
+
+def test_improper_assumed_problem_raises_and_caches_nothing():
+    model = trap_line_model()
+    cache = PlanCache(model)
+    with pytest.raises(ImproperModel):
+        cache.plan_for(0, model.knowledge_all_unknown())
+    assert len(cache) == 0
+    for algorithm in ("vi", "lao", "flares", "det-mlg", "det-cg"):
+        with pytest.raises(ImproperModel):
+            run_cell(model, CellSpec(name="trap", algorithm=algorithm, trials=5))
