@@ -15,12 +15,18 @@ once and shared by every knowledge vector; a row whose successors reveal
 nothing still unknown skips the revelation fold.
 :func:`enumerate_reachable` is the eager path used by value iteration,
 oracles, and debug dumps: its breadth-first walk expands each non-goal
-state once and writes a CSR transition matrix over (state, action) rows, a
-cost array and a goal mask straight into :class:`Reachable`, without
-filling the lazy row cache.  A fresh SSP numbers its states in that
-walk's discovery order, so the walk's rows are the compiled ids.  Its exact
-properness check is a vectorised walk back from the goals over the
-transposed matrix, level by level in numpy, with no per-edge Python objects.
+state once and builds a CSR transition matrix over (state, action) rows, a
+cost array and a goal mask in :class:`Reachable`, without filling the lazy
+row cache.  A fresh SSP numbers its states in that walk's discovery order,
+so the walk's rows are the compiled ids.  Most states are plain: no hook
+answers, nothing still unknown is revealed and there is no terminal cost,
+so their rows are the merged base rows under their own knowledge vector.
+For those the walk only interns the base state's distinct successors, and
+one numpy gather over the memo (:meth:`CompiledSsp.base_tables`) writes
+all their rows once the walk ends; the other states' rows are written edge
+by edge.  The exact properness check is a vectorised walk back from the
+goals over the transposed matrix, level by level in numpy, with no
+per-edge Python objects.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, TextIO, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, TextIO, Tuple
 
 from .errors import ImproperModel, ModelError, StateBudgetExceeded
 from .model import Action, GusspModel, KnowledgeVector, State, PROB_TOL
@@ -65,8 +71,8 @@ class LazySsp:
     cost and the successor row ``((j, p), ...)`` of that action.
     ``q_rows(i)``, the only cache, memoises it; ``successors`` and ``cost``
     index it.  ``goal_flags[i]`` marks the goal states.
-    :func:`enumerate_reachable` calls ``expand`` directly, once per
-    non-goal state.
+    :func:`enumerate_reachable` calls ``walk_step``, which is ``expand``
+    unless a subclass overrides it, once per non-goal state.
     """
 
     def __init__(self, actions: Tuple[Action, ...]):
@@ -80,6 +86,12 @@ class LazySsp:
 
     def is_goal(self, i: int) -> bool:
         return self.goal_flags[i]
+
+    def walk_step(self, i: int) -> Tuple[Optional[List[int]], Optional[QRows]]:
+        """:func:`enumerate_reachable`'s expansion of non-goal ``i``:
+        ``(None, expand(i))`` unless a subclass gathers the state's rows
+        itself (see :meth:`CompiledSsp.walk_step`)."""
+        return None, self.expand(i)
 
     def q_rows(self, i: int) -> QRows:
         rows = self._q_rows.get(i)
@@ -118,6 +130,12 @@ class CompiledSsp(LazySsp):
     and kept.  When no successor of the base row reveals a goal still
     unknown, the row's successors stay under the current knowledge vector
     and are plain id lookups; only the other rows run the revelation fold.
+    ``walk_step(i)``, the eager walk's expansion, asks the hooks for every
+    action first.  For a plain state it returns only the successor ids, read
+    off the distinct successors of the ``sid``'s merged rows (kept per
+    ``sid``), and leaves the rows to :func:`enumerate_reachable`'s gather;
+    otherwise it hands the answers to ``expand(i, answers)``, the same
+    per-action body, so no hook is asked twice.
     Instances are not thread-safe: every solve compiles its own.
     """
 
@@ -138,6 +156,8 @@ class CompiledSsp(LazySsp):
         n_pairs = self._n_base * len(self.actions)
         self._base_rows: List[Optional[Tuple[Row, Row, int]]] = [None] * n_pairs
         self._base_costs: List[Optional[float]] = [None] * n_pairs
+        self._no_answers = ((None, None),) * len(self.actions)
+        self._unions: List[Optional[Tuple[Tuple[int, ...], int]]] = [None] * self._n_base
         self._branch_cache: Dict[int, Tuple[Tuple[int, float], ...]] = {}
         self.start_id = self.intern(model.start_state, model.knowledge_all_unknown())
 
@@ -244,7 +264,73 @@ class CompiledSsp(LazySsp):
                 acc[j] = acc.get(j, 0.0) + p * q
         return tuple(acc.items())
 
-    def expand(self, i: int) -> QRows:
+    def _answers(self, s: State, k: KnowledgeVector) -> Optional[list]:
+        """Each action's ``(knowledge_effects, knowledge_step_cost)`` answer at
+        ``(s, k)``, or ``None`` when neither hook answers for any action."""
+        effects, step_cost = self.model.knowledge_effects, self.model.knowledge_step_cost
+        answers = None
+        if effects is not None or step_cost is not None:
+            for n, a in enumerate(self.actions):
+                rows = None if effects is None else effects(s, a, k)
+                c = None if step_cost is None else step_cost(s, a, k)
+                if rows is not None or c is not None:
+                    if answers is None:
+                        answers = list(self._no_answers)
+                    answers[n] = (rows, c)
+        return answers
+
+    def _union(self, sid: int, s: State, k: KnowledgeVector) -> Tuple[Tuple[int, ...], int]:
+        """The distinct successors of ``sid``'s merged base rows over all
+        actions, in first-seen order, and the OR of their reveal masks.
+        Reads every action's base row and base cost into the memo."""
+        union = self._unions[sid]
+        if union is None:
+            base_rows, base_costs, model = self._base_rows, self._base_costs, self.model
+            seen: Dict[int, None] = {}
+            mask = 0
+            pair = sid * len(self.actions)
+            for a in self.actions:
+                memo = base_rows[pair]
+                if memo is None:
+                    memo = base_rows[pair] = self._base_row(s, k, a)
+                if base_costs[pair] is None:
+                    base_costs[pair] = model.cost(s, a)
+                seen.update(dict.fromkeys(sid2 for sid2, _p in memo[1]))
+                mask |= memo[2]
+                pair += 1
+            union = self._unions[sid] = (tuple(seen), mask)
+        return union
+
+    def walk_step(self, i: int) -> Tuple[Optional[List[int]], Optional[QRows]]:
+        """``(ids, None)`` when ``i`` is plain, else ``(None, rows)`` with
+        the rows ``expand(i)`` gives.
+
+        A non-goal state is plain when no hook answers for any action, no
+        base row of its ``sid`` reveals a goal still unknown, and the model
+        has no ``terminal_cost``.  Its rows are then the merged base rows
+        under its own knowledge vector, which :func:`enumerate_reachable`
+        gathers in numpy once the walk ends (:meth:`base_tables`); ``ids``
+        are the state's distinct successors, interned in the order the rows
+        meet them."""
+        sid, kid = self._sids[i], self._kids[i]
+        s, k = self._base[sid], self._kvs[kid]
+        answers = self._answers(s, k)
+        if answers is None and self.model.terminal_cost is None:
+            union, mask = self._union(sid, s, k)
+            if not mask & self.model.full_mask & ~(k.yes | k.no):
+                here = self._ids[kid]
+                ids = [here[sid2] for sid2 in union]
+                if None in ids:
+                    for m, j in enumerate(ids):
+                        if j is None:
+                            ids[m] = self._add(union[m], kid)
+                return ids, None
+        return None, self.expand(i, answers or self._no_answers)
+
+    def expand(self, i: int, answers: Optional[list] = None) -> QRows:
+        """Every action's ``(action, cost, row)`` at ``i``.  The hooks are
+        asked here, action by action, unless ``answers`` already holds their
+        answer per action (as :meth:`walk_step` asks them first)."""
         goal_flags = self.goal_flags
         if goal_flags[i]:
             return self._goal_rows(i)
@@ -256,10 +342,14 @@ class CompiledSsp(LazySsp):
         unknown = model.full_mask & ~(k.yes | k.no)
         here, add = self._ids[kid], self._add
         base_rows, base_costs = self._base_rows, self._base_costs
-        pair = sid * len(self.actions)
+        pair = first = sid * len(self.actions)
         out = []
         for a in self.actions:
-            rows = None if effects is None else effects(s, a, k)
+            if answers is None:
+                rows = None if effects is None else effects(s, a, k)
+                c = None if step_cost is None else step_cost(s, a, k)
+            else:
+                rows, c = answers[pair - first]
             if rows is not None:
                 succ = self._fold(kid, unknown, self._sid_row(rows, s, k, a))
             else:
@@ -277,7 +367,6 @@ class CompiledSsp(LazySsp):
                             j = add(sid2, kid)
                         succ.append((j, p))
                     succ = tuple(succ)
-            c = None if step_cost is None else step_cost(s, a, k)
             if c is None:
                 c = base_costs[pair]
                 if c is None:
@@ -289,6 +378,49 @@ class CompiledSsp(LazySsp):
             out.append((a, c, succ))
             pair += 1
         return tuple(out)
+
+    def base_tables(self) -> "BaseTables":
+        """The memo as arrays, for :func:`enumerate_reachable`'s gather of
+        the plain rows."""
+        import numpy as np
+
+        lens = np.zeros(len(self._base_rows) + 1, dtype=np.intc)
+        succ, prob = array("i"), array("d")
+        for pair, memo in enumerate(self._base_rows):
+            if memo is not None:
+                lens[pair + 1] = len(memo[1])
+                for sid2, p in memo[1]:
+                    succ.append(sid2)
+                    prob.append(p)
+        sids = np.array(self._sids, dtype=np.intc)
+        kids = np.array(self._kids, dtype=np.intc)
+        ids = np.full((len(self._kvs), self._n_base), -1, dtype=np.intc)
+        ids[kids, sids] = np.arange(len(sids), dtype=np.intc)
+        return BaseTables(
+            indptr=np.cumsum(lens, dtype=np.intc),
+            succ=np.frombuffer(succ, dtype=np.intc),
+            prob=np.frombuffer(prob, dtype=float),
+            cost=np.array([np.nan if c is None else c for c in self._base_costs]),
+            ids=ids,
+            sids=sids,
+            kids=kids,
+        )
+
+
+class BaseTables(NamedTuple):
+    """:class:`CompiledSsp`'s memo as arrays.  ``indptr``/``succ``/``prob``
+    are a CSR over pairs ``sid * A + a`` of the merged base rows (empty
+    where unread), ``cost`` the base cost per pair (NaN where unread),
+    ``ids[kid, sid]`` the compiled id (-1 where not interned), and ``sids``
+    and ``kids`` the base state and knowledge vector of each compiled id."""
+
+    indptr: "np.ndarray"
+    succ: "np.ndarray"
+    prob: "np.ndarray"
+    cost: "np.ndarray"
+    ids: "np.ndarray"
+    sids: "np.ndarray"
+    kids: "np.ndarray"
 
 
 @dataclass
@@ -384,38 +516,62 @@ def enumerate_reachable(
 ) -> Reachable:
     """Breadth-first closure from the start state, written into CSR arrays.
 
-    Every non-goal state is expanded once through ``ssp.expand``, and its
-    rows go straight into the arrays of :class:`Reachable`; the lazy row
-    cache is left alone.  Goal states are absorbing and not expanded.  The
-    walk takes ids ``0, 1, 2, ...`` as its queue: ``expand`` numbers new
-    successors in the order the walk meets them, so on an SSP no lazy
-    solver has touched the start is id 0 and each newly found state is the
-    next id.  Raises :class:`ValueError` if
-    the SSP was numbered otherwise, :class:`StateBudgetExceeded` past
-    ``state_budget`` states and, when ``require_proper``,
-    :class:`ImproperModel` if some reachable state cannot reach a goal; that
-    check walks back from the goals over the transposed matrix in numpy
-    (:func:`_dead_states`) and makes no per-edge Python objects.
+    Every non-goal state is expanded once through ``ssp.walk_step``, and its
+    rows go into the arrays of :class:`Reachable`; the lazy row cache is
+    left alone.  Goal states are absorbing and not expanded.  The walk takes
+    ids ``0, 1, 2, ...`` as its queue: expansion numbers new successors in
+    the order the walk meets them, so on an SSP no lazy solver has touched
+    the start is id 0 and each newly found state is the next id.
+
+    A :class:`CompiledSsp` state that is plain (no hook answers, nothing
+    still unknown revealed, no terminal cost) only interns its distinct
+    successors during the walk; its rows are the merged base rows of its
+    ``sid`` mapped through its knowledge vector's ids, so once the walk ends
+    one numpy gather over :meth:`CompiledSsp.base_tables` writes them all,
+    in bounded chunks of ``np.intc`` indices.  Every other state's rows are
+    written edge by edge as the walk expands it.
+
+    Raises :class:`ValueError` if the SSP was numbered otherwise,
+    :class:`StateBudgetExceeded` past ``state_budget`` states and, when
+    ``require_proper``, :class:`ImproperModel` if some reachable state cannot
+    reach a goal; that check walks back from the goals over the transposed
+    matrix in numpy (:func:`_dead_states`) and makes no per-edge Python
+    objects.
     """
     import numpy as np
     from scipy import sparse
 
     if ssp.start_id != 0:
         raise ValueError(_OUT_OF_ORDER)
-    actions = ssp.actions
-    goal = bytearray()
-    indptr, indices, data, cost = array("i", [0]), array("i"), array("d"), array("d")
-    expand, is_goal = ssp.expand, ssp.is_goal
-    add_r, add_p = indices.append, data.append
-    goal_rows = tuple((a, 0.0, ()) for a in actions)  # absorbing, not expanded
+    n_actions = len(ssp.actions)
+    goal, plain = bytearray(), array("i")
+    # the explicitly written states: ids, then per row its length and cost,
+    # then the entries of all their rows in order
+    explicit, lens, cost = array("i"), array("i"), array("d")
+    indices, data = array("i"), array("d")
+    step, is_goal, add_p = ssp.walk_step, ssp.is_goal, data.append
     i, n = 0, 1  # n: states found so far
     while i < n:
         g = is_goal(i)
         goal.append(g)
-        for _a, c, succ in goal_rows if g else expand(i):
-            cost.append(c)
-            for j, p in succ:
-                if j >= n:
+        if not g:
+            ids, rows = step(i)
+            if rows is None:
+                plain.append(i)
+            else:
+                explicit.append(i)
+                ids = []
+                for _a, c, succ in rows:
+                    cost.append(c)
+                    lens.append(len(succ))
+                    for j, p in succ:
+                        ids.append(j)
+                        add_p(p)
+                indices.extend(ids)
+            if ids and max(ids) >= n:
+                for j in ids:
+                    if j < n:
+                        continue
                     if j != n:
                         raise ValueError(_OUT_OF_ORDER)
                     if n >= state_budget:
@@ -423,31 +579,73 @@ def enumerate_reachable(
                             f"more than {state_budget} reachable compiled states"
                         )
                     n += 1
-                add_r(j)
-                add_p(p)
-            indptr.append(len(indices))
         i += 1
+
+    row_len = np.zeros((n, n_actions), dtype=np.intc)
+    row_cost = np.zeros((n, n_actions))
+    explicit = np.frombuffer(explicit, dtype=np.intc)
+    row_len[explicit] = np.frombuffer(lens, dtype=np.intc).reshape(-1, n_actions)
+    row_cost[explicit] = np.frombuffer(cost, dtype=float).reshape(-1, n_actions)
+    plain = np.frombuffer(plain, dtype=np.intc)
+    if plain.size:
+        base = ssp.base_tables()
+        psid = base.sids[plain]
+        row_len[plain] = np.diff(base.indptr).reshape(-1, n_actions)[psid]
+        row_cost[plain] = base.cost.reshape(-1, n_actions)[psid]
+    indptr = np.zeros(n * n_actions + 1, dtype=np.intc)
+    np.cumsum(row_len.ravel(), dtype=np.intc, out=indptr[1:])
+    del row_len
+    starts = indptr[::n_actions]  # state i's entries: starts[i]:starts[i + 1]
+    out_indices = np.empty(indptr[-1], dtype=np.intc)
+    out_data = np.empty(indptr[-1])
+
+    e_len = starts[explicit + 1] - starts[explicit]
+    e_start = np.cumsum(e_len, dtype=np.intc) - e_len
+    indices, data = np.frombuffer(indices, dtype=np.intc), np.frombuffer(data, dtype=float)
+    for _blocks, dst, src in _block_copies(starts[explicit], e_start, e_len):
+        out_indices[dst] = indices[src]
+        out_data[dst] = data[src]
+    if plain.size:
+        pkid = base.kids[plain]
+        p_len = starts[plain + 1] - starts[plain]
+        p_start = base.indptr[psid * n_actions]
+        for blocks, dst, src in _block_copies(starts[plain], p_start, p_len):
+            out_indices[dst] = base.ids[np.repeat(pkid[blocks], p_len[blocks]), base.succ[src]]
+            out_data[dst] = base.prob[src]
 
     goal_mask = np.frombuffer(goal, dtype=bool)
     transitions = sparse.csr_matrix(
-        (np.frombuffer(data, dtype=float), np.frombuffer(indices, dtype=np.intc),
-         np.frombuffer(indptr, dtype=np.intc)),
-        shape=(n * len(actions), n),
+        (out_data, out_indices, indptr), shape=(n * n_actions, n)
     )
 
     if require_proper:
-        dead = _dead_states(transitions, goal_mask, len(actions))
+        dead = _dead_states(transitions, goal_mask, n_actions)
         if dead.size:
             raise ImproperModel(
                 f"{dead.size} reachable states cannot reach a goal, "
                 f"e.g. {ssp.state(int(dead[0]))}"
             )
 
-    return Reachable(
-        goal=goal_mask,
-        cost=np.frombuffer(cost, dtype=float),
-        transitions=transitions,
-    )
+    return Reachable(goal=goal_mask, cost=row_cost.ravel(), transitions=transitions)
+
+
+_GATHER_CHUNK = 1 << 15  # blocks per step of _block_copies
+
+
+def _block_copies(dst_start: "np.ndarray", src_start: "np.ndarray", lens: "np.ndarray"):
+    """Block ``b`` copies ``lens[b]`` entries from ``src_start[b]`` on to
+    ``dst_start[b]`` on.  Yields ``(blocks, dst, src)``: a slice of blocks
+    and the ``np.intc`` positions they copy, a bounded number of blocks at a
+    time."""
+    import numpy as np
+
+    for lo in range(0, len(lens), _GATHER_CHUNK):
+        blocks = slice(lo, lo + _GATHER_CHUNK)
+        ln = lens[blocks]
+        first = np.cumsum(ln, dtype=np.intc) - ln  # each block's offset in the chunk
+        at = np.arange(int(first[-1] + ln[-1]), dtype=np.intc)
+        dst = np.repeat(dst_start[blocks] - first, ln) + at
+        yield blocks, dst, np.repeat(src_start[blocks] - first, ln) + at
 
 
 def _dead_states(transitions: "sparse.csr_matrix", goal: "np.ndarray", n_actions: int):
@@ -460,9 +658,11 @@ def _dead_states(transitions: "sparse.csr_matrix", goal: "np.ndarray", n_actions
     can_finish = goal.copy()
     frontier = np.flatnonzero(can_finish)
     while frontier.size:
-        rows = np.unique(back[frontier].indices // n_actions)
-        frontier = rows[~can_finish[rows]]
-        can_finish[frontier] = True
+        hit = np.zeros_like(can_finish)  # a mask, not np.unique: no sort or hash per level
+        hit[back[frontier].indices // n_actions] = True
+        hit &= ~can_finish
+        frontier = np.flatnonzero(hit)
+        can_finish |= hit
     return np.flatnonzero(~can_finish)
 
 

@@ -166,7 +166,11 @@ def run_cell(
 ) -> CellResult:
     """Plan as ``spec.algorithm`` requires, then run one trial loop over its
     episodes.  vi, lao and flares solve up front; the det baselines plan
-    inside each episode.  Planning booked on an episode counts as planning."""
+    inside each episode.  Planning booked on an episode counts as planning.
+    ``reachable`` is numbered by the ``ssp`` it was enumerated from, so it
+    needs that ``ssp`` too."""
+    if reachable is not None and ssp is None:
+        raise ValueError("reachable= needs the ssp= it was enumerated from")
     if spec.algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {spec.algorithm!r}")
     if spec.algorithm in ("lao", "flares") and spec.heuristic not in HEURISTICS:

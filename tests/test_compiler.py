@@ -12,7 +12,7 @@ from gussp.compiler import (
     enumerate_reachable,
 )
 from gussp.determinize import AssumedTargetSsp
-from gussp.domains import load_instance
+from gussp.domains import grid, load_instance
 from gussp.errors import ImproperModel, ModelError, StateBudgetExceeded
 from gussp.model import GoalPrior, GusspModel, KnowledgeVector
 from gussp.solvers import value_iteration
@@ -267,11 +267,26 @@ def assert_rows_match_lazy(ssp, reach):
                 assert cost == ssp.cost(i, a)
 
 
-@pytest.mark.parametrize("name", ["line4", "grid8_landmark", "ev8", "rover6", "search4"])
+def landmark_map():
+    """A generated 6x6 map with five goals and two landmarks: 2,561
+    compiled states over many knowledge vectors, some gathered as plain
+    rows and some written edge by edge."""
+    params = grid.random_grid(7, width=6, height=6, n_goals=5, n_landmarks=2)
+    return grid.build_grid(params)
+
+
+@pytest.mark.parametrize(
+    "name", ["line4", "grid8_landmark", "ev8", "rover6", "search4", "landmark_map"]
+)
 def test_reachable_rows_match_lazy_expansion(name):
-    _params, model = load_instance(str(INSTANCES / f"{name}.txt"))
+    if name == "landmark_map":
+        model = landmark_map()
+    else:
+        _params, model = load_instance(str(INSTANCES / f"{name}.txt"))
     ssp = compile_gussp(model)
     reach = enumerate_reachable(ssp)
+    if name == "landmark_map":
+        assert len(reach) == 2561
     # the eager path expands without filling the lazy row cache
     assert not ssp._q_rows
     if name == "ev8":
@@ -315,12 +330,13 @@ def test_dead_end_after_revelation_is_improper():
     assert [str(ssp.state(i)) for i in range(len(reach))] == ["(0, UU)", "(1, NU)", "(1, GU)", "(2, NU)"]
 
 
-def jump_model(effects_target=3, effects=None):
+def jump_model(effects_target=3, effects=None, step_cost=None):
     """0 -> 1 -> 2 -> 3 by ``fwd``; ``jump`` stays put, except that the
     knowledge hook sends it to ``effects_target`` once goal 3 is confirmed.
     Arrival at the landmark 1 reveals goal 3, so base state 1 is reached
     under two knowledge vectors: ``UN`` (first in discovery order) and
-    ``UG``.  ``effects``, if given, replaces that hook."""
+    ``UG``.  ``effects``, if given, replaces that hook; ``step_cost`` is
+    the ``knowledge_step_cost`` hook (none by default)."""
 
     def jump_when_confirmed(s, a, k):
         if a == "jump" and k.yes & 0b10:
@@ -337,6 +353,7 @@ def jump_model(effects_target=3, effects=None):
         prior=GoalPrior.uniform(2),
         landmarks={1: (3,)},
         knowledge_effects=effects or jump_when_confirmed,
+        knowledge_step_cost=step_cost,
     )
 
 
@@ -463,3 +480,21 @@ def test_answered_hook_skips_the_base_row():
         assert calls["knowledge_effects"][(1, "jump", KnowledgeVector(2, no=0b10))] == 1
         assert (1, "fwd") in calls["transition"]
         assert (1, "jump") not in calls["transition"]
+
+
+def test_step_cost_hook_alone_keeps_the_base_row():
+    """``knowledge_step_cost`` answers at (1, UG) / jump while
+    ``knowledge_effects`` never does: the row there stays the base row
+    (stay put) and only the cost comes from the hook, on both paths."""
+
+    def step_cost(s, a, k):
+        return 5.0 if a == "jump" and k.yes & 0b10 else None
+
+    model = jump_model(effects=lambda s, a, k: None, step_cost=step_cost)
+    ssp = compile_gussp(model)
+    reach = enumerate_reachable(ssp)
+    at = {str(ssp.state(i)): i for i in range(len(reach))}
+    assert ssp.successors(at["(1, UG)"], "jump") == ((at["(1, UG)"], 1.0),)
+    assert ssp.cost(at["(1, UG)"], "jump") == 5.0
+    assert ssp.cost(at["(1, UN)"], "jump") == 1.0
+    assert_rows_match_lazy(ssp, reach)

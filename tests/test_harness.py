@@ -1,8 +1,10 @@
 import io
+from pathlib import Path
 
 import pytest
 
-from gussp.compiler import compile_gussp
+from gussp.compiler import compile_gussp, enumerate_reachable
+from gussp.domains import load_instance
 from gussp.harness import (
     REPORT_FIELDS,
     TRIAL_FIELDS,
@@ -17,6 +19,8 @@ from gussp.harness import (
 )
 from gussp.rng import make_rng
 from gussp.solvers import value_iteration
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 
 def _csv_of(results):
@@ -189,13 +193,21 @@ def test_det_cells_report_replans(line4_model):
 
 def test_vi_cell_reuses_precompiled_ssp(line4_model):
     ssp = compile_gussp(line4_model)
-    from gussp.compiler import enumerate_reachable
-
     reach = enumerate_reachable(ssp, state_budget=1_000)
     spec = CellSpec(name="line4", algorithm="vi", trials=3, seed=0)
     with_shared = run_cell(line4_model, spec, ssp=ssp, reachable=reach)
     fresh = run_cell(line4_model, spec)
     assert _csv_of([with_shared]) == _csv_of([fresh])
+
+
+def test_reachable_without_its_ssp_is_rejected():
+    # a fresh SSP numbers states as execution meets them, not as the walk
+    # that wrote these rows did, so every trial would follow wrong rows
+    _params, model = load_instance(str(INSTANCES / "grid12.txt"))
+    reach = enumerate_reachable(compile_gussp(model))
+    spec = CellSpec(name="grid12", algorithm="vi", trials=3, seed=0)
+    with pytest.raises(ValueError, match="needs the ssp="):
+        run_cell(model, spec, reachable=reach)
 
 
 def test_unknown_algorithm_rejected(line4_model):
