@@ -34,7 +34,7 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, TextIO, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, TextIO, Tuple
 
 from .errors import ImproperModel, ModelError, StateBudgetExceeded
 from .model import Action, GusspModel, KnowledgeVector, State, PROB_TOL
@@ -61,6 +61,8 @@ class CompiledState:
 
 Row = Tuple[Tuple[int, float], ...]
 QRows = Tuple[Tuple[Action, float, Row], ...]
+# per action: what knowledge_effects and knowledge_step_cost answered
+Answers = List[Tuple[Optional[Sequence[Tuple[State, float]]], Optional[float]]]
 
 
 class LazySsp:
@@ -130,12 +132,12 @@ class CompiledSsp(LazySsp):
     and kept.  When no successor of the base row reveals a goal still
     unknown, the row's successors stay under the current knowledge vector
     and are plain id lookups; only the other rows run the revelation fold.
-    ``walk_step(i)``, the eager walk's expansion, asks the hooks for every
-    action first.  For a plain state it returns only the successor ids, read
-    off the distinct successors of the ``sid``'s merged rows (kept per
-    ``sid``), and leaves the rows to :func:`enumerate_reachable`'s gather;
-    otherwise it hands the answers to ``expand(i, answers)``, the same
-    per-action body, so no hook is asked twice.
+    ``expand(i)`` and ``walk_step(i)``, the eager walk's expansion, both ask
+    the hooks once for every action (``_answers``).  For a plain state
+    ``walk_step`` returns only the successor ids, read off the distinct
+    successors of the ``sid``'s merged rows (kept per ``sid``), and leaves
+    the rows to :func:`enumerate_reachable`'s gather; every other state goes
+    through ``_rows``, the per-action body ``expand`` uses.
     Instances are not thread-safe: every solve compiles its own.
     """
 
@@ -156,7 +158,6 @@ class CompiledSsp(LazySsp):
         n_pairs = self._n_base * len(self.actions)
         self._base_rows: List[Optional[Tuple[Row, Row, int]]] = [None] * n_pairs
         self._base_costs: List[Optional[float]] = [None] * n_pairs
-        self._no_answers = ((None, None),) * len(self.actions)
         self._unions: List[Optional[Tuple[Tuple[int, ...], int]]] = [None] * self._n_base
         self._branch_cache: Dict[int, Tuple[Tuple[int, float], ...]] = {}
         self.start_id = self.intern(model.start_state, model.knowledge_all_unknown())
@@ -264,10 +265,12 @@ class CompiledSsp(LazySsp):
                 acc[j] = acc.get(j, 0.0) + p * q
         return tuple(acc.items())
 
-    def _answers(self, s: State, k: KnowledgeVector) -> Optional[list]:
-        """Each action's ``(knowledge_effects, knowledge_step_cost)`` answer at
-        ``(s, k)``, or ``None`` when neither hook answers for any action."""
-        effects, step_cost = self.model.knowledge_effects, self.model.knowledge_step_cost
+    def _answers(self, s: State, k: KnowledgeVector) -> Optional[Answers]:
+        """Each action's ``(knowledge_effects, knowledge_step_cost)`` answer
+        at ``(s, k)``, in action order, or ``None`` when neither hook answers
+        for any action.  The only place the hooks are asked."""
+        model = self.model
+        effects, step_cost = model.knowledge_effects, model.knowledge_step_cost
         answers = None
         if effects is not None or step_cost is not None:
             for n, a in enumerate(self.actions):
@@ -275,7 +278,7 @@ class CompiledSsp(LazySsp):
                 c = None if step_cost is None else step_cost(s, a, k)
                 if rows is not None or c is not None:
                     if answers is None:
-                        answers = list(self._no_answers)
+                        answers = [(None, None)] * len(self.actions)
                     answers[n] = (rows, c)
         return answers
 
@@ -325,19 +328,21 @@ class CompiledSsp(LazySsp):
                         if j is None:
                             ids[m] = self._add(union[m], kid)
                 return ids, None
-        return None, self.expand(i, answers or self._no_answers)
+        return None, self._rows(sid, kid, s, k, answers)
 
-    def expand(self, i: int, answers: Optional[list] = None) -> QRows:
-        """Every action's ``(action, cost, row)`` at ``i``.  The hooks are
-        asked here, action by action, unless ``answers`` already holds their
-        answer per action (as :meth:`walk_step` asks them first)."""
-        goal_flags = self.goal_flags
-        if goal_flags[i]:
+    def expand(self, i: int) -> QRows:
+        if self.goal_flags[i]:
             return self._goal_rows(i)
         sid, kid = self._sids[i], self._kids[i]
         s, k = self._base[sid], self._kvs[kid]
-        model = self.model
-        effects, step_cost = model.knowledge_effects, model.knowledge_step_cost
+        return self._rows(sid, kid, s, k, self._answers(s, k))
+
+    def _rows(
+        self, sid: int, kid: int, s: State, k: KnowledgeVector, answers: Optional[Answers]
+    ) -> QRows:
+        """Every action's ``(action, cost, row)`` at non-goal ``(sid, kid)``,
+        given the hooks' ``answers`` there."""
+        goal_flags, model = self.goal_flags, self.model
         exit_cost = model.exit_cost if model.terminal_cost is not None else None
         unknown = model.full_mask & ~(k.yes | k.no)
         here, add = self._ids[kid], self._add
@@ -346,8 +351,7 @@ class CompiledSsp(LazySsp):
         out = []
         for a in self.actions:
             if answers is None:
-                rows = None if effects is None else effects(s, a, k)
-                c = None if step_cost is None else step_cost(s, a, k)
+                rows = c = None
             else:
                 rows, c = answers[pair - first]
             if rows is not None:
@@ -379,9 +383,14 @@ class CompiledSsp(LazySsp):
             pair += 1
         return tuple(out)
 
-    def base_tables(self) -> "BaseTables":
+    def base_tables(self):
         """The memo as arrays, for :func:`enumerate_reachable`'s gather of
-        the plain rows."""
+        the plain rows: ``indptr``, ``succ`` and ``prob``, a CSR over the
+        pairs ``sid * A + a`` of the merged base rows (empty where unread);
+        ``cost``, the base cost per pair (NaN where unread); ``ids``, where
+        ``ids[kid, sid]`` is the compiled id (-1 where not interned); and
+        ``sids`` and ``kids``, the base state and knowledge vector of each
+        compiled id."""
         import numpy as np
 
         lens = np.zeros(len(self._base_rows) + 1, dtype=np.intc)
@@ -396,31 +405,11 @@ class CompiledSsp(LazySsp):
         kids = np.array(self._kids, dtype=np.intc)
         ids = np.full((len(self._kvs), self._n_base), -1, dtype=np.intc)
         ids[kids, sids] = np.arange(len(sids), dtype=np.intc)
-        return BaseTables(
-            indptr=np.cumsum(lens, dtype=np.intc),
-            succ=np.frombuffer(succ, dtype=np.intc),
-            prob=np.frombuffer(prob, dtype=float),
-            cost=np.array([np.nan if c is None else c for c in self._base_costs]),
-            ids=ids,
-            sids=sids,
-            kids=kids,
+        cost = np.array([np.nan if c is None else c for c in self._base_costs])
+        return (
+            np.cumsum(lens, dtype=np.intc), np.frombuffer(succ, dtype=np.intc),
+            np.frombuffer(prob, dtype=float), cost, ids, sids, kids,
         )
-
-
-class BaseTables(NamedTuple):
-    """:class:`CompiledSsp`'s memo as arrays.  ``indptr``/``succ``/``prob``
-    are a CSR over pairs ``sid * A + a`` of the merged base rows (empty
-    where unread), ``cost`` the base cost per pair (NaN where unread),
-    ``ids[kid, sid]`` the compiled id (-1 where not interned), and ``sids``
-    and ``kids`` the base state and knowledge vector of each compiled id."""
-
-    indptr: "np.ndarray"
-    succ: "np.ndarray"
-    prob: "np.ndarray"
-    cost: "np.ndarray"
-    ids: "np.ndarray"
-    sids: "np.ndarray"
-    kids: "np.ndarray"
 
 
 @dataclass
@@ -588,10 +577,10 @@ def enumerate_reachable(
     row_cost[explicit] = np.frombuffer(cost, dtype=float).reshape(-1, n_actions)
     plain = np.frombuffer(plain, dtype=np.intc)
     if plain.size:
-        base = ssp.base_tables()
-        psid = base.sids[plain]
-        row_len[plain] = np.diff(base.indptr).reshape(-1, n_actions)[psid]
-        row_cost[plain] = base.cost.reshape(-1, n_actions)[psid]
+        b_ptr, b_succ, b_prob, b_cost, ids_of, sids, kids = ssp.base_tables()
+        psid = sids[plain]
+        row_len[plain] = np.diff(b_ptr).reshape(-1, n_actions)[psid]
+        row_cost[plain] = b_cost.reshape(-1, n_actions)[psid]
     indptr = np.zeros(n * n_actions + 1, dtype=np.intc)
     np.cumsum(row_len.ravel(), dtype=np.intc, out=indptr[1:])
     del row_len
@@ -606,12 +595,12 @@ def enumerate_reachable(
         out_indices[dst] = indices[src]
         out_data[dst] = data[src]
     if plain.size:
-        pkid = base.kids[plain]
+        pkid = kids[plain]
         p_len = starts[plain + 1] - starts[plain]
-        p_start = base.indptr[psid * n_actions]
+        p_start = b_ptr[psid * n_actions]
         for blocks, dst, src in _block_copies(starts[plain], p_start, p_len):
-            out_indices[dst] = base.ids[np.repeat(pkid[blocks], p_len[blocks]), base.succ[src]]
-            out_data[dst] = base.prob[src]
+            out_indices[dst] = ids_of[np.repeat(pkid[blocks], p_len[blocks]), b_succ[src]]
+            out_data[dst] = b_prob[src]
 
     goal_mask = np.frombuffer(goal, dtype=bool)
     transitions = sparse.csr_matrix(
@@ -637,32 +626,43 @@ def _block_copies(dst_start: "np.ndarray", src_start: "np.ndarray", lens: "np.nd
     ``dst_start[b]`` on.  Yields ``(blocks, dst, src)``: a slice of blocks
     and the ``np.intc`` positions they copy, a bounded number of blocks at a
     time."""
-    import numpy as np
-
     for lo in range(0, len(lens), _GATHER_CHUNK):
         blocks = slice(lo, lo + _GATHER_CHUNK)
         ln = lens[blocks]
-        first = np.cumsum(ln, dtype=np.intc) - ln  # each block's offset in the chunk
-        at = np.arange(int(first[-1] + ln[-1]), dtype=np.intc)
-        dst = np.repeat(dst_start[blocks] - first, ln) + at
-        yield blocks, dst, np.repeat(src_start[blocks] - first, ln) + at
+        yield blocks, _positions(dst_start[blocks], ln), _positions(src_start[blocks], ln)
+
+
+def _positions(starts: "np.ndarray", lens: "np.ndarray") -> "np.ndarray":
+    """``starts[b]:starts[b] + lens[b]`` for every block ``b`` (at least
+    one), concatenated, as ``np.intc``."""
+    import numpy as np
+
+    first = np.cumsum(lens, dtype=np.intc) - lens  # each block's offset in the result
+    return np.repeat(starts - first, lens) + np.arange(int(first[-1] + lens[-1]), dtype=np.intc)
 
 
 def _dead_states(transitions: "sparse.csr_matrix", goal: "np.ndarray", n_actions: int):
     """Sorted ids of the states that cannot reach a goal: a level-by-level
     numpy walk back from the goals over the transposed matrix, whose row
-    ``j`` holds the rows ``r * n_actions + a`` that can move to ``j``."""
+    ``j`` holds the rows ``r * n_actions + a`` that can move to ``j``.  Each
+    level reads only the frontier's slices of the transposed matrix and
+    touches only the states it finds, so a deep graph costs its edges, not
+    its number of states per level."""
     import numpy as np
 
     back = transitions.T.tocsr()
+    ptr, into = back.indptr, back.indices
     can_finish = goal.copy()
+    last = np.empty(len(goal), dtype=np.intc)  # per state, where it last sits in ``rows``
     frontier = np.flatnonzero(can_finish)
     while frontier.size:
-        hit = np.zeros_like(can_finish)  # a mask, not np.unique: no sort or hash per level
-        hit[back[frontier].indices // n_actions] = True
-        hit &= ~can_finish
-        frontier = np.flatnonzero(hit)
-        can_finish |= hit
+        lo = ptr[frontier]
+        rows = into[_positions(lo, ptr[frontier + 1] - lo)] // n_actions
+        rows = rows[~can_finish[rows]]
+        can_finish[rows] = True
+        at = np.arange(len(rows), dtype=np.intc)
+        last[rows] = at
+        frontier = rows[last[rows] == at]  # each new state once, without a sort
     return np.flatnonzero(~can_finish)
 
 
