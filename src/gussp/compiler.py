@@ -32,11 +32,11 @@ per-edge Python objects.
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, TextIO, Tuple
 
 from .errors import ImproperModel, ModelError, StateBudgetExceeded
+from .heuristics import INF, build_distance_oracle
 from .model import Action, GusspModel, KnowledgeVector, State, PROB_TOL
 
 if TYPE_CHECKING:
@@ -434,7 +434,7 @@ class Reachable:
         return len(self.goal)
 
 
-def compile_gussp(model: GusspModel, check_properness: bool = True) -> CompiledSsp:
+def compile_gussp(model: GusspModel) -> CompiledSsp:
     """Compile a model, rejecting obviously improper ones up front.
 
     For models whose goals are literal base states with the default
@@ -443,12 +443,12 @@ def compile_gussp(model: GusspModel, check_properness: bool = True) -> CompiledS
     potential goal that has positive prior mass;
     otherwise some knowledge vector would strand the agent.  Domains with
     custom termination validate their own connectivity, and the eager
-    :func:`enumerate_reachable` pass re-checks properness exactly.
+    :func:`enumerate_reachable` pass re-checks properness exactly.  Build
+    ``CompiledSsp(model)`` directly to skip the up-front check.
     """
     ssp = CompiledSsp(model)
     if (
-        check_properness
-        and model.terminal_test is None
+        model.terminal_test is None
         and model.knowledge_effects is None
         and model.goal_membership is None
     ):
@@ -460,42 +460,28 @@ def compile_gussp(model: GusspModel, check_properness: bool = True) -> CompiledS
 
 
 def _check_base_properness(model: GusspModel) -> None:
-    forward: Dict[State, set] = {}
-    seen = {model.start_state}
-    frontier = deque([model.start_state])
-    while frontier:
-        s = frontier.popleft()
-        succ = set()
+    """A forward walk from the start, then one distance-oracle build: a base
+    state reaches goal ``i`` exactly when its oracle distance to ``i`` is
+    finite, since the oracle searches backward over the same graph of
+    ``p > 0`` outcomes.  The first stranded state in walk order is named."""
+    walk = [model.start_state]
+    seen = set(walk)
+    for s in walk:  # breadth first: the list grows as the loop reads it
         for a in model.actions:
             for s2, p in model.transition(s, a):
-                if p > 0.0:
-                    succ.add(s2)
-        forward[s] = succ
-        for s2 in succ:
-            if s2 not in seen:
-                seen.add(s2)
-                frontier.append(s2)
+                if p > 0.0 and s2 not in seen:
+                    seen.add(s2)
+                    walk.append(s2)
 
+    oracle = build_distance_oracle(model)
     all_unknown = model.knowledge_all_unknown()
-    for i in range(model.n_goals):
-        if model.prior.marginal(all_unknown, i) <= 0.0:
-            continue
-        sites = set(model.goal_sites(i))
-        # walk backwards over the restricted forward graph
-        good = {s for s in seen if s in sites}
-        changed = True
-        while changed:
-            changed = False
-            for s in seen:
-                if s not in good and forward[s] & good:
-                    good.add(s)
-                    changed = True
-        bad = seen - good
-        if bad:
-            raise ImproperModel(
-                f"state {next(iter(bad))!r} cannot reach potential goal "
-                f"{model.potential_goals[i]!r}"
-            )
+    goals = [i for i in range(model.n_goals) if model.prior.marginal(all_unknown, i) > 0.0]
+    for s in walk:
+        for i in goals:
+            if oracle.dist(s, i) == INF:
+                raise ImproperModel(
+                    f"state {s!r} cannot reach potential goal {model.potential_goals[i]!r}"
+                )
 
 
 def enumerate_reachable(

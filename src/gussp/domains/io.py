@@ -16,13 +16,21 @@ Cells are ``x,y``; landmark lines read ``landmark: 2,2 -> 5,5; 7,0``
 ``config: 5,5 + 7,0 = 0.25`` lines.  The charging domain uses ``time``
 lines (``time: 5 = 1.25`` for a candidate departure time and its weight)
 and a single ``prices`` line instead of grid geometry.
+
+Each domain is one entry of ``_DOMAINS``: its name, its parameter
+dataclass and its builder.  The optional scalar keys are the dataclass
+fields whose default is an ``int`` or a ``float``, in field order, read
+with the default's type and written last with ``repr``; a missing key
+takes the default.  A malformed number, an unknown key and a line the
+domain never reads all raise :class:`InvalidInstance`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import io as _io
-from typing import Dict, List, Tuple, Union
+from typing import Callable, Dict, List, Tuple, Union
 
 from ..errors import InvalidInstance
 from ..model import GusspModel
@@ -34,12 +42,35 @@ from .search_rescue import SearchRescueParams, build_search_rescue
 
 Params = Union[GridParams, RoverParams, SearchRescueParams, EvParams]
 
-_DOMAIN_NAMES = {
-    GridParams: "grid",
-    RoverParams: "rover",
-    SearchRescueParams: "search",
-    EvParams: "ev",
+_DOMAINS = {
+    "grid": (GridParams, build_grid),
+    "rover": (RoverParams, build_rover),
+    "search": (SearchRescueParams, build_search_rescue),
+    "ev": (EvParams, build_ev),
 }
+_BY_TYPE = {cls: (name, build) for name, (cls, build) in _DOMAINS.items()}
+# file keys that differ from their field names
+_KEY_OF = {"n_victims": "victims"}
+_REPEATED = ("obstacle", "goal", "landmark", "config", "time")
+
+
+def _scalars(cls) -> List[Tuple[str, str, Callable]]:
+    """``(key, field name, type)`` of each optional scalar of ``cls``."""
+    return [(_KEY_OF.get(f.name, f.name), f.name, type(f.default))
+            for f in dataclasses.fields(cls) if type(f.default) in (int, float)]
+
+
+def _goal_field(cls) -> str:
+    return "candidate_cells" if cls is SearchRescueParams else "potential_goals"
+
+
+def _number(kind: Callable, text: str, what: str):
+    try:
+        return kind(text)
+    except ValueError:
+        raise InvalidInstance(
+            f"bad {what} {text!r}, expected {'an int' if kind is int else 'a number'}"
+        ) from None
 
 
 def _parse_cell(text: str) -> Cell:
@@ -64,11 +95,9 @@ def _parse_lines(text: str) -> List[Tuple[str, str]]:
 
 
 def parse_instance(text: str) -> Params:
-    pairs = _parse_lines(text)
     fields: Dict[str, str] = {}
-    repeated: Dict[str, List[str]] = {"obstacle": [], "goal": [], "landmark": [],
-                                      "config": [], "time": []}
-    for key, value in pairs:
+    repeated: Dict[str, List[str]] = {key: [] for key in _REPEATED}
+    for key, value in _parse_lines(text):
         if key in repeated:
             repeated[key].append(value)
         elif key in fields:
@@ -79,41 +108,49 @@ def parse_instance(text: str) -> Params:
     domain = fields.pop("domain", None)
     if domain is None:
         raise InvalidInstance("missing 'domain' line")
-    if domain == "ev":
-        return _parse_ev(fields, repeated)
-    if domain in ("grid", "rover", "search"):
-        return _parse_spatial(domain, fields, repeated)
-    raise InvalidInstance(f"unknown domain {domain!r}")
+    if domain not in _DOMAINS:
+        raise InvalidInstance(f"unknown domain {domain!r}")
+    cls, _build = _DOMAINS[domain]
+    # each reader pops the repeated keys it reads; what is left is unread
+    kwargs = (_parse_ev(fields, repeated) if cls is EvParams
+              else _parse_spatial(cls, fields, repeated))
+    for key, name, kind in _scalars(cls):
+        if key in fields:
+            kwargs[name] = _number(kind, fields.pop(key), key)
+    if fields:
+        raise InvalidInstance(f"unknown keys for {domain}: {sorted(fields)}")
+    unread = sorted(key for key, values in repeated.items() if values)
+    if unread:
+        raise InvalidInstance(f"{domain} instances do not read {unread} lines")
+    return cls(**kwargs)
 
 
-def _parse_prior(domain: str, fields: Dict[str, str],
-                 repeated: Dict[str, List[str]]) -> PriorSpec:
-    spec = fields.pop("prior", "uniform")
-    parts = spec.split()
-    kind = parts[0]
+def _parse_prior(fields: Dict[str, str], repeated: Dict[str, List[str]]) -> PriorSpec:
+    kind, *parts = fields.pop("prior", "uniform").split() or [""]
     if kind == "uniform":
         return PriorSpec()
     if kind == "bernoulli":
-        return PriorSpec(kind="bernoulli", marginals=tuple(float(p) for p in parts[1:]))
+        return PriorSpec(kind="bernoulli", marginals=tuple(
+            _number(float, p, "bernoulli marginal") for p in parts))
     if kind == "explicit":
         configs = []
-        for line in repeated["config"]:
+        for line in repeated.pop("config"):
             if "=" not in line:
                 raise InvalidInstance(f"config line {line!r} needs '= weight'")
             labels_text, weight = line.rsplit("=", 1)
             labels = tuple(
                 _parse_cell(c.strip()) for c in labels_text.split("+")
             )
-            configs.append((labels, float(weight)))
+            configs.append((labels, _number(float, weight.strip(), "config weight")))
         if not configs:
             raise InvalidInstance("explicit prior without config lines")
         return PriorSpec(kind="explicit", configs=tuple(configs))
     raise InvalidInstance(f"unknown prior kind {kind!r}")
 
 
-def _parse_landmarks(repeated: Dict[str, List[str]]):
+def _parse_landmarks(lines: List[str]):
     out = []
-    for line in repeated["landmark"]:
+    for line in lines:
         if "->" not in line:
             raise InvalidInstance(f"landmark line {line!r} needs '-> vicinity'")
         where, vicinity = line.split("->", 1)
@@ -122,86 +159,39 @@ def _parse_landmarks(repeated: Dict[str, List[str]]):
     return tuple(out)
 
 
-def _parse_spatial(domain: str, fields: Dict[str, str],
-                   repeated: Dict[str, List[str]]) -> Params:
+def _parse_spatial(cls, fields: Dict[str, str],
+                   repeated: Dict[str, List[str]]) -> dict:
     try:
-        width = int(fields.pop("width"))
-        height = int(fields.pop("height"))
+        width = _number(int, fields.pop("width"), "width")
+        height = _number(int, fields.pop("height"), "height")
         start = _parse_cell(fields.pop("start"))
     except KeyError as e:
         raise InvalidInstance(f"missing required key {e.args[0]!r}") from e
-    goals = tuple(_parse_cell(g) for g in repeated["goal"])
+    goals = tuple(_parse_cell(g) for g in repeated.pop("goal"))
     if not goals:
         raise InvalidInstance("at least one 'goal' line is required")
-    obstacles = frozenset(_parse_cell(o) for o in repeated["obstacle"])
-    landmarks = _parse_landmarks(repeated)
-    prior = _parse_prior(domain, fields, repeated)
-
-    def popf(key: str, default: float) -> float:
-        return float(fields.pop(key, default))
-
-    if domain == "grid":
-        params = GridParams(
-            width=width, height=height, start=start, potential_goals=goals,
-            obstacles=obstacles, landmarks=landmarks,
-            move_success=popf("move_success", 1.0),
-            step_cost=popf("step_cost", 1.0),
-            prior=prior,
-        )
-    elif domain == "rover":
-        params = RoverParams(
-            width=width, height=height, start=start, potential_goals=goals,
-            obstacles=obstacles, landmarks=landmarks,
-            move_success=popf("move_success", 0.8),
-            move_cost=popf("move_cost", 1.0),
-            sample_cost_confirmed=popf("sample_cost_confirmed", 2.0),
-            sample_cost_blind=popf("sample_cost_blind", 10.0),
-            prior=prior,
-        )
-    else:
-        params = SearchRescueParams(
-            width=width, height=height, start=start, candidate_cells=goals,
-            n_victims=int(fields.pop("victims", 1)),
-            obstacles=obstacles, landmarks=landmarks,
-            move_success=popf("move_success", 1.0),
-            move_cost=popf("move_cost", 1.0),
-            save_cost=popf("save_cost", 2.0),
-            prior=prior,
-        )
-    if fields:
-        raise InvalidInstance(f"unknown keys for {domain}: {sorted(fields)}")
-    return params
+    return {
+        "width": width, "height": height, "start": start, _goal_field(cls): goals,
+        "obstacles": frozenset(_parse_cell(o) for o in repeated.pop("obstacle")),
+        "landmarks": _parse_landmarks(repeated.pop("landmark")),
+        "prior": _parse_prior(fields, repeated),
+    }
 
 
-def _parse_ev(fields: Dict[str, str], repeated: Dict[str, List[str]]) -> EvParams:
+def _parse_ev(fields: Dict[str, str], repeated: Dict[str, List[str]]) -> dict:
     times: List[int] = []
     weights: List[float] = []
-    for line in repeated["time"]:
-        if "=" in line:
-            t, w = line.split("=", 1)
-            times.append(int(t))
-            weights.append(float(w))
-        else:
-            times.append(int(line))
-            weights.append(1.0)
+    for line in repeated.pop("time"):
+        t, w = line.split("=", 1) if "=" in line else (line, "1.0")
+        times.append(_number(int, t.strip(), "time"))
+        weights.append(_number(float, w.strip(), "time weight"))
     if not times:
         raise InvalidInstance("charging instances need 'time' lines")
     try:
-        prices = tuple(float(p) for p in fields.pop("prices").split())
+        prices = tuple(_number(float, p, "price") for p in fields.pop("prices").split())
     except KeyError as e:
         raise InvalidInstance("missing required key 'prices'") from e
-    params = EvParams(
-        times=tuple(times),
-        time_weights=tuple(weights),
-        prices=prices,
-        charge_max=int(fields.pop("charge_max", 4)),
-        charge_start=int(fields.pop("charge_start", 0)),
-        target_charge=int(fields.pop("target_charge", 4)),
-        penalty=float(fields.pop("penalty", 10.0)),
-    )
-    if fields:
-        raise InvalidInstance(f"unknown keys for ev: {sorted(fields)}")
-    return params
+    return {"times": tuple(times), "time_weights": tuple(weights), "prices": prices}
 
 
 def serialize_instance(params: Params) -> str:
@@ -213,63 +203,40 @@ def serialize_instance(params: Params) -> str:
     def fmt_cell(c: Cell) -> str:
         return f"{c[0]},{c[1]}"
 
-    emit("domain", _DOMAIN_NAMES[type(params)])
-    if isinstance(params, EvParams):
+    cls = type(params)
+    emit("domain", _BY_TYPE[cls][0])
+    if cls is EvParams:
         for t, w in zip(params.times, params.time_weights):
             emit("time", f"{t} = {w!r}")
         emit("prices", " ".join(repr(p) for p in params.prices))
-        emit("charge_max", params.charge_max)
-        emit("charge_start", params.charge_start)
-        emit("target_charge", params.target_charge)
-        emit("penalty", repr(params.penalty))
-        return out.getvalue()
-
-    emit("width", params.width)
-    emit("height", params.height)
-    emit("start", fmt_cell(params.start))
-    goals = (params.candidate_cells if isinstance(params, SearchRescueParams)
-             else params.potential_goals)
-    for g in goals:
-        emit("goal", fmt_cell(g))
-    for o in sorted(params.obstacles):
-        emit("obstacle", fmt_cell(o))
-    for lm, vic in params.landmarks:
-        emit("landmark", f"{fmt_cell(lm)} -> {'; '.join(fmt_cell(c) for c in vic)}")
-    prior = params.prior
-    if prior.kind == "uniform":
-        emit("prior", "uniform")
-    elif prior.kind == "bernoulli":
-        emit("prior", "bernoulli " + " ".join(repr(p) for p in prior.marginals))
     else:
-        emit("prior", "explicit")
-        for labels, w in prior.configs:
-            emit("config", " + ".join(fmt_cell(c) for c in labels) + f" = {w!r}")
-    if isinstance(params, GridParams):
-        emit("move_success", repr(params.move_success))
-        emit("step_cost", repr(params.step_cost))
-    elif isinstance(params, RoverParams):
-        emit("move_success", repr(params.move_success))
-        emit("move_cost", repr(params.move_cost))
-        emit("sample_cost_confirmed", repr(params.sample_cost_confirmed))
-        emit("sample_cost_blind", repr(params.sample_cost_blind))
-    else:
-        emit("victims", params.n_victims)
-        emit("move_success", repr(params.move_success))
-        emit("move_cost", repr(params.move_cost))
-        emit("save_cost", repr(params.save_cost))
+        emit("width", params.width)
+        emit("height", params.height)
+        emit("start", fmt_cell(params.start))
+        for g in getattr(params, _goal_field(cls)):
+            emit("goal", fmt_cell(g))
+        for o in sorted(params.obstacles):
+            emit("obstacle", fmt_cell(o))
+        for lm, vic in params.landmarks:
+            emit("landmark", f"{fmt_cell(lm)} -> {'; '.join(fmt_cell(c) for c in vic)}")
+        prior = params.prior
+        if prior.kind == "uniform":
+            emit("prior", "uniform")
+        elif prior.kind == "bernoulli":
+            emit("prior", "bernoulli " + " ".join(repr(p) for p in prior.marginals))
+        else:
+            emit("prior", "explicit")
+            for labels, w in prior.configs:
+                emit("config", " + ".join(fmt_cell(c) for c in labels) + f" = {w!r}")
+    for key, name, _kind in _scalars(cls):
+        emit(key, repr(getattr(params, name)))
     return out.getvalue()
 
 
 def build_model(params: Params) -> GusspModel:
-    if isinstance(params, GridParams):
-        return build_grid(params)
-    if isinstance(params, RoverParams):
-        return build_rover(params)
-    if isinstance(params, SearchRescueParams):
-        return build_search_rescue(params)
-    if isinstance(params, EvParams):
-        return build_ev(params)
-    raise InvalidInstance(f"unknown parameter type {type(params).__name__}")
+    if type(params) not in _BY_TYPE:
+        raise InvalidInstance(f"unknown parameter type {type(params).__name__}")
+    return _BY_TYPE[type(params)][1](params)
 
 
 def load_instance(path: str) -> Tuple[Params, GusspModel]:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gussp.compiler import (
+    CompiledSsp,
     CompiledState,
     compile_gussp,
     dump_compiled,
@@ -170,7 +171,7 @@ def test_conservative_properness_check():
     with pytest.raises(ImproperModel):
         compile_gussp(one_way_model())
     # bypassing the check still compiles
-    ssp = compile_gussp(one_way_model(), check_properness=False)
+    ssp = CompiledSsp(one_way_model())
     assert len(ssp) >= 1
 
 
@@ -188,7 +189,7 @@ def test_exact_properness_check():
         prior=GoalPrior.uniform(1),
         validate=True,
     )
-    ssp = compile_gussp(model, check_properness=False)
+    ssp = CompiledSsp(model)
     with pytest.raises(ImproperModel):
         enumerate_reachable(ssp)
     reach = enumerate_reachable(ssp, require_proper=False)
@@ -323,7 +324,7 @@ def test_dead_end_after_revelation_is_improper():
         potential_goals=(1, 3),
         prior=GoalPrior.uniform(2),
     )
-    ssp = compile_gussp(model, check_properness=False)
+    ssp = CompiledSsp(model)
     with pytest.raises(ImproperModel, match=r"2 reachable states .* e\.g\. \(1, NU\)"):
         enumerate_reachable(ssp)
     reach = enumerate_reachable(ssp, require_proper=False)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib.util
 from pathlib import Path
@@ -323,6 +324,59 @@ def test_parse_rejects_garbage():
     with pytest.raises(InvalidInstance):
         parse_instance("domain: grid\nwidth: 3\nheight: 1\n"
                        "start: 0,0\ngoal: 2,0\nwidth: 4\n")
+
+
+# every optional scalar away from its default; floats get fractional values,
+# so a float field whose default were written as an int would not parse
+NON_DEFAULT_SCALARS = {
+    "grid": (GridParams(width=3, height=1, start=(0, 0), potential_goals=((2, 0),),
+                        move_success=0.75, step_cost=2.5),
+             ["move_success", "step_cost"]),
+    "rover": (RoverParams(width=3, height=1, start=(0, 0), potential_goals=((2, 0),),
+                          move_success=0.6, move_cost=1.5, sample_cost_confirmed=3.25,
+                          sample_cost_blind=7.5),
+              ["move_success", "move_cost", "sample_cost_confirmed", "sample_cost_blind"]),
+    "search": (SearchRescueParams(width=3, height=1, start=(0, 0),
+                                  candidate_cells=((1, 0), (2, 0)), n_victims=2,
+                                  move_success=0.9, move_cost=1.25, save_cost=4.5),
+               ["victims", "move_success", "move_cost", "save_cost"]),
+    "ev": (EvParams(times=(2, 4), time_weights=(1.0, 2.0), prices=(1.0, 2.0, 3.0, 4.0),
+                    charge_max=6, charge_start=2, target_charge=5, penalty=7.5),
+           ["charge_max", "charge_start", "target_charge", "penalty"]),
+}
+
+
+@pytest.mark.parametrize("domain", sorted(NON_DEFAULT_SCALARS))
+def test_every_scalar_key_round_trips_away_from_its_default(domain):
+    params, keys = NON_DEFAULT_SCALARS[domain]
+    for f in dataclasses.fields(params):
+        if type(f.default) in (int, float):
+            assert getattr(params, f.name) != f.default, f.name
+    text = serialize_instance(params)
+    lines = text.splitlines()
+    assert lines[0] == f"domain: {domain}"
+    assert [line.split(":")[0] for line in lines[-len(keys):]] == keys
+    assert parse_instance(text) == params
+
+
+LINE4_TEXT = serialize_instance(line4())
+EV_TEXT = serialize_instance(synthesize_ev_params(11))
+
+
+@pytest.mark.parametrize("text", [
+    EV_TEXT + "goal: 1,0\n",
+    EV_TEXT + "obstacle: 1,0\n",
+    EV_TEXT + "landmark: 1,0 -> 2,0\n",
+    EV_TEXT + "config: 2,0 = 1.0\n",
+    LINE4_TEXT + "time: 3 = 1.0\n",
+    LINE4_TEXT + "config: 2,0 = 1.0\n",
+    LINE4_TEXT.replace("prior: uniform", "prior: bernoulli 0.5 0.5") + "config: 2,0 = 1.0\n",
+], ids=["ev-goal", "ev-obstacle", "ev-landmark", "ev-config", "grid-time",
+        "uniform-config", "bernoulli-config"])
+def test_parse_rejects_lines_the_domain_never_reads(text):
+    assert parse_instance(text.rsplit("\n", 2)[0] + "\n")  # valid without the last line
+    with pytest.raises(InvalidInstance, match="do not read"):
+        parse_instance(text)
 
 
 def test_random_generators_are_reproducible():

@@ -1,5 +1,6 @@
-"""The exact properness check: the numpy walk back from the goals against
-the Python list walk it replaced (``oracles.dead_states_reference``)."""
+"""The properness checks: the exact numpy walk back from the goals against
+the Python list walk it replaced (``oracles.dead_states_reference``), and
+the up-front base-graph check of ``compile_gussp``."""
 
 import signal
 import tracemalloc
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from gussp.compiler import _dead_states, compile_gussp, enumerate_reachable
+from gussp.compiler import CompiledSsp, _dead_states, compile_gussp, enumerate_reachable
 from gussp.domains import load_instance
 from gussp.errors import ImproperModel
 from gussp.model import GoalPrior, GusspModel
@@ -131,10 +132,10 @@ def branch_model():
 def test_improper_message_matches_the_list_walk(build, dead_bases):
     model = build()
     reach = enumerate_reachable(
-        compile_gussp(model, check_properness=False), require_proper=False
+        CompiledSsp(model), require_proper=False
     )
     dead = assert_walks_agree(reach.transitions, reach.goal, len(model.actions))
-    ssp = compile_gussp(model, check_properness=False)
+    ssp = CompiledSsp(model)
     with pytest.raises(ImproperModel) as err:
         enumerate_reachable(ssp)
     ref = dead_states_reference(reach.transitions, reach.goal, len(model.actions))
@@ -162,3 +163,48 @@ def test_properness_check_costs_about_one_matrix(name):
     m = reach.transitions
     matrix_bytes = m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
     assert peaks[True] - peaks[False] < 2 * matrix_bytes
+
+
+def corridor_model(n, seed=0):
+    """A corridor 0 .. n-1 with ``back``/``stay``/``fwd`` and goals at both
+    ends, its base states listed in shuffled order."""
+    order = list(range(n))
+    np.random.default_rng(seed).shuffle(order)
+
+    def transition(s, a):
+        step = {"back": -1, "stay": 0, "fwd": 1}[a]
+        return ((min(max(s + step, 0), n - 1), 1.0),)
+
+    return GusspModel(
+        base_states=order,
+        actions=("back", "stay", "fwd"),
+        transition=transition,
+        cost=lambda s, a: 1.0,
+        start_state=n // 2,
+        potential_goals=(0, n - 1),
+        prior=GoalPrior.uniform(2),
+    )
+
+
+def test_base_check_is_linear_on_a_long_shuffled_corridor():
+    # a fixed-point pass over the reachable set can add one state per pass
+    ssp = compile_gussp(corridor_model(50_000))
+    assert len(ssp) == 1
+
+
+def test_base_check_rejects_a_state_that_reaches_only_one_goal():
+    """From 0, ``left`` leads to goal 1 and ``right`` to 3 -> goal 4; 3 and
+    4 never lead back, so both reach goal 4 and neither reaches goal 1."""
+
+    def transition(s, a):
+        if s == 0:
+            return ((1 if a == "left" else 3, 1.0),)
+        if s in (1, 2):
+            return ((2 if s == 1 and a == "right" else 0, 1.0),)
+        return ((4, 1.0),)
+
+    model = line_model(transition, ("left", "right"), 5, (1, 4))
+    with pytest.raises(ImproperModel) as err:
+        compile_gussp(model)
+    # the first stranded state in walk order 0, 1, 3, 2, 4
+    assert str(err.value) == "state 3 cannot reach potential goal 1"
