@@ -98,17 +98,23 @@ def test_missing_instance_exits_2(tmp_path, capsys):
 LINE4_TEXT = Path(LINE4).read_text()
 
 
+def test_malformed_instance_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("domain: grid\nwidth: 3\n")
+    assert run_cli("plan", str(bad)) == 2
+    assert "bad instance" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text", [
-    "domain: grid\nwidth: 3\n",
     LINE4_TEXT.replace("width: 4", "width: abc"),
     LINE4_TEXT.replace("width: 4", "width: 4.5"),
     LINE4_TEXT.replace("move_success: 1.0", "move_success: fast"),
     LINE4_TEXT.replace("prior: uniform", "prior: bernoulli 0.5 zz"),
     LINE4_TEXT.replace("prior: uniform", "prior:"),
     "domain: ev\ntime: x = 1\nprices: 1.0\n",
-], ids=["missing-keys", "width-abc", "width-4.5", "move-success-fast",
+], ids=["width-abc", "width-4.5", "move-success-fast",
         "bernoulli-zz", "empty-prior", "ev-time-x"])
-def test_malformed_instance_exits_2(tmp_path, capsys, text):
+def test_malformed_instance_field_exits_2(tmp_path, capsys, text):
     bad = tmp_path / "bad.txt"
     bad.write_text(text)
     assert run_cli("plan", str(bad)) == 2
