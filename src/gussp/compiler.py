@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, TextIO, Tuple
 
 from .errors import ImproperModel, ModelError, StateBudgetExceeded
-from .heuristics import INF, build_distance_oracle
-from .model import Action, GusspModel, KnowledgeVector, State, PROB_TOL
+from .heuristics import INF, DistanceOracle, build_distance_oracle
+from .model import Action, GusspModel, KnowledgeVector, State, PROB_TOL, submasks
 
 if TYPE_CHECKING:
     import numpy as np
@@ -160,6 +160,9 @@ class CompiledSsp(LazySsp):
         self._base_costs: List[Optional[float]] = [None] * n_pairs
         self._unions: List[Optional[Tuple[Tuple[int, ...], int]]] = [None] * self._n_base
         self._branch_cache: Dict[int, Tuple[Tuple[int, float], ...]] = {}
+        # the base model's distance oracle, when compile_gussp's properness
+        # check built one; hpg reads it instead of building its own
+        self.distance_oracle: Optional[DistanceOracle] = None
         self.start_id = self.intern(model.start_state, model.knowledge_all_unknown())
 
     def __len__(self) -> int:
@@ -199,14 +202,19 @@ class CompiledSsp(LazySsp):
         cached = self._branch_cache.get(key)
         if cached is not None:
             return cached
+        import numpy as np
+
         k = self._kvs[kid]
-        patterns: Dict[int, float] = {}
-        for mask, p in zip(*self.model.prior.posterior(k)):
-            pat = mask & revealed
-            patterns[pat] = patterns.get(pat, 0.0) + p
+        masks, probs = self.model.prior.posterior(k)
+        # the patterns the revealed goals can show, in increasing order, and
+        # each configuration's pattern as a position among them; bincount
+        # adds each pattern's masses in posterior order, as a dict would
+        patterns = submasks(revealed)
+        at = np.searchsorted(patterns, np.frombuffer(masks, np.int64) & revealed)
+        sums = np.bincount(at, weights=np.frombuffer(probs), minlength=len(patterns))
         branches = tuple(
             (self._kid_of(k.confirm(yes=pat, no=revealed & ~pat)), prob)
-            for pat, prob in sorted(patterns.items())
+            for pat, prob in zip(patterns.tolist(), sums.tolist())
             if prob > 0.0
         )
         self._branch_cache[key] = branches
@@ -455,15 +463,16 @@ def compile_gussp(model: GusspModel) -> CompiledSsp:
         # only meaningful when goals are literal places on the base graph;
         # projected goals (time labels, factored cells) need not stay
         # mutually reachable
-        _check_base_properness(model)
+        ssp.distance_oracle = _check_base_properness(model)
     return ssp
 
 
-def _check_base_properness(model: GusspModel) -> None:
+def _check_base_properness(model: GusspModel) -> DistanceOracle:
     """A forward walk from the start, then one distance-oracle build: a base
     state reaches goal ``i`` exactly when its oracle distance to ``i`` is
     finite, since the oracle searches backward over the same graph of
-    ``p > 0`` outcomes.  The first stranded state in walk order is named."""
+    ``p > 0`` outcomes.  The first stranded state in walk order is named;
+    otherwise the oracle is returned."""
     walk = [model.start_state]
     seen = set(walk)
     for s in walk:  # breadth first: the list grows as the loop reads it
@@ -482,6 +491,7 @@ def _check_base_properness(model: GusspModel) -> None:
                 raise ImproperModel(
                     f"state {s!r} cannot reach potential goal {model.potential_goals[i]!r}"
                 )
+    return oracle
 
 
 def enumerate_reachable(

@@ -201,9 +201,11 @@ def run_cell(
     else:
         if ssp is None:
             ssp = compile_gussp(model)
+        # the array backend's one-time import is not planning: vi's matrices
+        # and the prior's posterior queries use numpy
+        import numpy  # noqa: F401
         if spec.algorithm == "vi":
-            # the array backend's one-time import is not planning
-            import numpy, scipy.sparse  # noqa: F401
+            import scipy.sparse  # noqa: F401
 
         t0 = time.perf_counter()
         if spec.algorithm == "vi":

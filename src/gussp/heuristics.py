@@ -105,13 +105,16 @@ class HpgHeuristic:
     def _multipliers(self, k: KnowledgeVector) -> List[float]:
         mult = self._mult.get(k)
         if mult is None:
+            import numpy as np
+
             mult = [INF] * self.prior.n
             masks, probs = self.prior.posterior(k)
             todo = k.yes | k.unknown_mask
-            # largest mass first; the sort is stable, so among equal masses
-            # larger masks come first and yes | unknown, which holds every
-            # possible goal, leads its ties
-            for j in sorted(range(len(masks) - 1, -1, -1), key=probs.__getitem__, reverse=True):
+            # largest mass first: a stable ascending sort read backwards puts
+            # larger masks first among equal masses, so yes | unknown, which
+            # holds every possible goal, leads its ties
+            order = np.argsort(np.frombuffer(probs), kind="stable")[::-1]
+            for j in map(int, order):
                 new = masks[j] & todo
                 if new:
                     weight = 1.0 - probs[j]
@@ -223,13 +226,15 @@ def zero_heuristic(_x_id: int) -> float:
 def make_heuristic(
     name: str, ssp, oracle: Optional[DistanceOracle] = None
 ) -> Callable[[int], float]:
-    """Factory used by the CLI and harness: one of ``zero``, ``hmin``, ``hpg``."""
+    """Factory used by the CLI and harness: one of ``zero``, ``hmin``, ``hpg``.
+    Without ``oracle``, hpg reuses the one ``compile_gussp`` built for its
+    properness check, or builds one."""
     if name == "zero":
         return zero_heuristic
     if name == "hmin":
         return HminHeuristic(ssp)
     if name == "hpg":
         if oracle is None:
-            oracle = build_distance_oracle(ssp.model)
+            oracle = ssp.distance_oracle or build_distance_oracle(ssp.model)
         return HpgHeuristic(ssp, oracle)
     raise ValueError(f"unknown heuristic {name!r}")

@@ -51,6 +51,20 @@ def bits_of(mask: int) -> Iterator[int]:
         i += 1
 
 
+def submasks(u: int, base: int = 0):
+    """``base | s`` for every submask ``s`` of ``u``, in increasing order, as
+    a numpy ``int64`` array; ``base`` must be disjoint from ``u``.  Each bit
+    of ``u``, lowest first, doubles the filled prefix as its new top bit."""
+    import numpy as np
+
+    masks = np.empty(1 << u.bit_count(), dtype=np.int64)
+    masks[0], h = base, 1
+    for i in bits_of(u):
+        np.bitwise_or(masks[:h], 1 << i, out=masks[h:2 * h])
+        h *= 2
+    return masks
+
+
 class Status(enum.Enum):
     UNKNOWN = "U"
     CONFIRMED_GOAL = "G"
@@ -147,15 +161,20 @@ class GoalPrior:
     * ``bernoulli``: independent per-goal marginals, conditioned on the
       configuration being nonempty.
 
-    Every constructor stores the masses in increasing mask order.  Queries
-    given a knowledge vector walk only the configurations consistent with
-    it, in that order, so their sums fold exactly as a filter over all
-    configurations would.
+    The prior is two flat tables indexed by mask over all ``2**n`` masks: the
+    masses (``array('d')``) and which masks are configurations
+    (``bytearray``).  Presence is kept apart from mass, so a configuration
+    whose normalized mass underflows to 0.0 stays one.  Building them needs
+    no numpy; the queries given a knowledge vector import it at their first
+    cache miss.  They visit the consistent configurations in increasing mask
+    order, and each sum folds in the order a loop over all configurations
+    would; every float they return is a Python ``float``.
     """
 
-    def __init__(self, n: int, probs: Dict[int, float]):
+    def __init__(self, n: int, mass: array, present: bytearray):
         self.n = n
-        self._probs = probs
+        self._mass = mass
+        self._present = present
         # keyed by (k.yes << n) | k.no
         self._posterior_cache: Dict[int, Tuple[array, array]] = {}
         self._marginal_cache: Dict[int, List[float]] = {}
@@ -164,9 +183,10 @@ class GoalPrior:
     @classmethod
     def uniform(cls, n: int) -> "GoalPrior":
         _check_n(n)
-        total = (1 << n) - 1
-        p = 1.0 / total
-        return cls(n, {m: p for m in range(1, total + 1)})
+        mass = array("d", [1.0 / ((1 << n) - 1)]) * (1 << n)
+        present = bytearray(b"\x01") * (1 << n)
+        mass[0] = present[0] = 0
+        return cls(n, mass, present)
 
     @classmethod
     def explicit(cls, n: int, weights: Mapping[int, float]) -> "GoalPrior":
@@ -183,7 +203,10 @@ class GoalPrior:
         total = sum(probs.values())
         if total <= 0:
             raise InvalidInstance("explicit prior has no positive-weight configuration")
-        return cls(n, {m: w / total for m, w in sorted(probs.items())})
+        mass, present = array("d", bytes(8 << n)), bytearray(1 << n)
+        for m, w in probs.items():
+            mass[m], present[m] = w / total, 1
+        return cls(n, mass, present)
 
     @classmethod
     def bernoulli(cls, marginals: Sequence[float]) -> "GoalPrior":
@@ -196,17 +219,21 @@ class GoalPrior:
         for p in marginals:
             none *= 1.0 - p
         norm = 1.0 - none  # condition on at least one true goal
-        probs: Dict[int, float] = {}
-        for mask in range(1, 1 << n):
-            w = 1.0
-            for i in range(n):
-                w *= marginals[i] if mask & (1 << i) else 1.0 - marginals[i]
-            if w > 0:
-                probs[mask] = w / norm
-        return cls(n, probs)
+        # w[mask] = product over goals i = 0, 1, ... of p_i or 1 - p_i, each
+        # goal's factor doubling the table with its bit as the new top bit
+        w = [1.0]
+        for p in marginals:
+            q = 1.0 - p
+            w = [x * q for x in w] + [x * p for x in w]
+        mass = array("d", [x / norm for x in w])
+        present = bytearray(x > 0 for x in w)
+        mass[0] = present[0] = 0
+        return cls(n, mass, present)
 
     def config_probs(self) -> Dict[int, float]:
-        return dict(self._probs)
+        """Mass of each configuration, in increasing mask order."""
+        mass = self._mass
+        return {m: mass[m] for m in compress(range(len(mass)), self._present)}
 
     def posterior(self, k: KnowledgeVector) -> Tuple[array, array]:
         """Prior conditioned on the knowledge vector, as two arrays: the
@@ -220,26 +247,15 @@ class GoalPrior:
         cached = self._posterior_cache.get(key)
         if cached is not None:
             return cached
-        probs, yes, u = self._probs, k.yes, k.unknown_mask
-        masks = array("q")
-        if 1 << u.bit_count() <= len(probs):
-            # submasks of u in increasing order; yes is disjoint from u
-            sub = 0
-            while True:
-                m = yes | sub
-                if m in probs:
-                    masks.append(m)
-                if sub == u:
-                    break
-                sub = (sub - u) & u
-        else:  # a sparse prior: filtering it visits fewer configurations
-            fixed = yes | k.no
-            masks.extend(m for m in probs if (m & fixed) == yes)
-        sel = [probs[m] for m in masks]
-        total = sum(sel)
+        import numpy as np
+
+        masks = submasks(k.unknown_mask, k.yes)
+        masks = masks[np.frombuffer(self._present, dtype=bool)[masks]]
+        sel = np.frombuffer(self._mass)[masks]
+        total = sum(sel.tolist())  # the builtin's fold, not numpy's pairwise sum
         if total <= 0:
             raise InconsistentKnowledge(f"no configuration consistent with {k}")
-        post = masks, array("d", [p / total for p in sel])
+        post = array("q", masks.tobytes()), array("d", (sel / total).tobytes())
         self._posterior_cache[key] = post
         return post
 
@@ -252,11 +268,15 @@ class GoalPrior:
         key = (k.yes << k.n) | k.no
         row = self._marginal_cache.get(key)
         if row is None:
+            import numpy as np
+
             masks, probs = self.posterior(k)
-            # per goal, the posterior mass of the configurations holding it,
-            # summed in posterior order
+            masks, probs = np.frombuffer(masks, np.int64), np.frombuffer(probs)
+            # per goal, the builtin sum of the posterior mass of the
+            # configurations holding it, in posterior order (an empty sum is
+            # the int 0)
             row = self._marginal_cache[key] = [
-                sum(compress(probs, map((1 << j).__and__, masks))) for j in range(self.n)
+                float(sum(probs[(masks & (1 << j)) != 0].tolist())) for j in range(self.n)
             ]
         return row[i]
 
@@ -264,7 +284,8 @@ class GoalPrior:
         """The configuration a uniform draw ``u`` selects: the first, in mask
         order, whose running mass exceeds ``u``, or the last one."""
         if self._cumulative is None:
-            self._cumulative = list(self._probs), list(accumulate(self._probs.values()))
+            probs = self.config_probs()
+            self._cumulative = list(probs), list(accumulate(probs.values()))
         masks, cumulative = self._cumulative
         return masks[min(bisect_right(cumulative, u), len(masks) - 1)]
 

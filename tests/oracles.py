@@ -178,6 +178,25 @@ def brute_force_arborescence(
 # require exactly equal floats, so each keeps the original order of every sum.
 
 
+def bernoulli_reference(marginals) -> Dict[int, float]:
+    """Independent goals conditioned on a nonempty set: each mask's product
+    of ``p_i`` or ``1 - p_i`` over i = 0, 1, ..., divided by the chance of a
+    nonempty set; masks of zero product are left out."""
+    n = len(marginals)
+    none = 1.0
+    for p in marginals:
+        none *= 1.0 - p
+    norm = 1.0 - none
+    probs = {}
+    for mask in range(1, 1 << n):
+        w = 1.0
+        for i in range(n):
+            w *= marginals[i] if mask & (1 << i) else 1.0 - marginals[i]
+        if w > 0:
+            probs[mask] = w / norm
+    return probs
+
+
 def posterior_reference(prior, k: KnowledgeVector) -> Dict[int, float]:
     """Filter all configurations, then divide by their mass (insertion order
     is mask order)."""

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from gussp.compiler import compile_gussp, enumerate_reachable
+from gussp.compiler import CompiledSsp, compile_gussp, enumerate_reachable
 from gussp.heuristics import (
     HminHeuristic,
     HpgHeuristic,
@@ -103,3 +103,14 @@ def test_make_heuristic_builds_oracle_when_missing(line4_solved):
     ssp, _reach, _vi = line4_solved
     h = make_heuristic("hpg", ssp)
     assert h(ssp.start_id) == pytest.approx(4 / 3)
+
+
+def test_hpg_reuses_the_oracle_of_the_properness_check(line4_model):
+    ssp = compile_gussp(line4_model)
+    h = make_heuristic("hpg", ssp)
+    assert h.oracle is ssp.distance_oracle
+    assert h.oracle == build_distance_oracle(line4_model)
+    # without the check there is no oracle to reuse: hpg builds its own
+    bare = CompiledSsp(line4_model)
+    assert bare.distance_oracle is None
+    assert make_heuristic("hpg", bare)(bare.start_id) == h(ssp.start_id)

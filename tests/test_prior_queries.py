@@ -4,10 +4,17 @@
 configurations consistent with it, hpg reads its multipliers from a scan of
 the posterior by mass, and sampling bisects a cumulative list.
 Each must give bit-identical floats to the loops in ``oracles.py``, since a
-last-bit change can flip a solver's tie between actions.
+last-bit change can flip a solver's tie between actions, and every float
+leaving the prior layer must be a Python ``float``.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +24,7 @@ from gussp.heuristics import HpgHeuristic
 from gussp.model import GoalPrior, GusspModel, KnowledgeVector
 
 from oracles import (
+    bernoulli_reference,
     hpg_multipliers_reference,
     marginal_reference,
     posterior_reference,
@@ -25,6 +33,7 @@ from oracles import (
 )
 
 MAX_N = 7
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @st.composite
@@ -138,6 +147,73 @@ def test_multiplier_scan_stops_once_every_goal_is_covered():
     prior.posterior = lambda _k: (CountingMasks(masks), probs)
     assert hpg_for(prior)._multipliers(k) == hpg_multipliers_reference(prior, k)
     assert [masks[j] for j in reads] == [0b111101]
+
+
+@given(st.lists(st.sampled_from([0.1, 0.3, 0.5, 0.7, 1.0]) | st.floats(0.01, 1.0),
+                min_size=1, max_size=MAX_N))
+@settings(max_examples=200, deadline=None)
+def test_bernoulli_masses_equal_per_mask_products(marginals):
+    # a marginal of 1.0 zeroes every mask without its goal
+    got = GoalPrior.bernoulli(marginals).config_probs()
+    assert list(got.items()) == list(bernoulli_reference(marginals).items())
+
+
+def knowledge_at_14():
+    """Knowledge vectors on 14 goals: all unknown, a few goals confirmed
+    either way, and all but two goals known."""
+    return [
+        KnowledgeVector(14),
+        KnowledgeVector(14, yes=0b1, no=0b10),
+        KnowledgeVector(14, no=0b1011_0000_0000_01),
+        KnowledgeVector(14, yes=0b0100_0001_0000_00, no=0b0010_0000_0010_01),
+        KnowledgeVector(14, yes=0b1, no=0b1111_1111_1111_00),
+    ]
+
+
+@pytest.mark.parametrize("prior", [
+    GoalPrior.uniform(14),
+    GoalPrior.bernoulli([0.69 - 0.03 * i for i in range(14)]),
+], ids=["uniform", "bernoulli"])
+def test_queries_at_fourteen_goals_equal_the_references(prior):
+    ssp = CompiledSsp(star_model(prior))
+    hpg = hpg_for(prior)
+    for k in knowledge_at_14():
+        masks, probs = prior.posterior(k)
+        expected = posterior_reference(prior, k)
+        assert list(masks) == list(expected)
+        assert list(probs) == list(expected.values())
+
+        marginals = [prior.marginal(k, i) for i in range(14)]
+        assert marginals == [marginal_reference(prior, k, i) for i in range(14)]
+        assert all(type(p) is float for p in marginals)
+
+        mult = hpg._multipliers(k)
+        assert mult == hpg_multipliers_reference(prior, k)
+        assert all(type(m) is float for m in mult)
+
+        for revealed in (k.unknown_mask & 0b11, k.unknown_mask & 0b1001_0100_0000_00,
+                         k.unknown_mask):
+            got = ssp._revelation_branches(ssp._kid_of(k), revealed)
+            assert [(ssp._kvs[kid], q) for kid, q in got] == revelation_reference(prior, k, revealed)
+            assert all(type(q) is float for _kid, q in got)
+
+
+def test_building_every_bundled_instance_leaves_numpy_unimported():
+    # the queries import numpy at their first cache miss; set-up never does
+    script = """
+import sys
+from pathlib import Path
+from gussp.domains import PriorSpec, build_grid, load_instance, random_grid
+for path in sorted(Path(sys.argv[1]).glob("*.txt")):
+    load_instance(str(path))
+build_grid(random_grid(0, width=12, height=12, n_goals=14,
+                       prior=PriorSpec("bernoulli", marginals=(0.5,) * 14)))
+print(sorted(m for m in ("numpy", "scipy") if m in sys.modules))
+"""
+    out = subprocess.run([sys.executable, "-c", script, str(ROOT / "instances")],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert out.stdout.strip() == "[]"
 
 
 def star_model(prior):

@@ -22,10 +22,12 @@ SMALL = ["line4", "grid8", "grid8_landmark", "ev8", "rover6", "search4", "grid12
 
 @pytest.fixture(autouse=True)
 def deadline():
-    """A walk that revisits finished states never ends: fail it instead."""
+    """A walk that revisits finished states never ends: fail it instead.
+    ``pytest.fail`` fails only the running test; an arbitrary exception
+    raised from the signal handler can end the whole session."""
 
     def expire(*_args):
-        raise TimeoutError("the properness walk did not finish in 30 s")
+        pytest.fail("the properness walk did not finish in 30 s", pytrace=False)
 
     previous = signal.signal(signal.SIGALRM, expire)
     signal.alarm(30)
