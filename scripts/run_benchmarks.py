@@ -13,7 +13,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from gussp.cli import add_cell_options
+from gussp.cli import add_cell_options, exit_code
 from gussp.domains import load_instance
 from gussp.harness import (
     ALGORITHMS,
@@ -37,7 +37,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--per-trial", help="per-trial CSV path")
     parser.add_argument("--no-timing", action="store_true")
     args = parser.parse_args(argv)
+    return exit_code(lambda: _run(args))
 
+
+def _run(args) -> int:
     jobs = []
     for path in args.instances:
         _params, model = load_instance(path)

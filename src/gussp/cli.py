@@ -201,15 +201,12 @@ def _cmd_arbor(args) -> int:
     return 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
-    if args.command == "plan" and args.convergence_log and args.algorithm != "vi":
-        parser.error("--convergence-log needs --algorithm vi")
+def exit_code(run: Callable[[], int]) -> int:
+    """``run()``, with a missing file or a bad instance or model mapped to
+    exit code 2 and any other library failure to 3, each reported on
+    stderr."""
     try:
-        if args.command == "plan":
-            return _cmd_plan(args)
-        return _cmd_arbor(args)
+        return run()
     except FileNotFoundError as e:
         print(f"gussp: {e}", file=sys.stderr)
         return 2
@@ -219,6 +216,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     except GusspError as e:
         print(f"gussp: solver failure: {e}", file=sys.stderr)
         return 3
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = make_parser()
+    args = parser.parse_args(argv)
+    if args.command == "plan" and args.convergence_log and args.algorithm != "vi":
+        parser.error("--convergence-log needs --algorithm vi")
+    return exit_code(lambda: _cmd_plan(args) if args.command == "plan" else _cmd_arbor(args))
 
 
 if __name__ == "__main__":

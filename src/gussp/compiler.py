@@ -5,7 +5,9 @@ folded into the transition itself: each base outcome is split by the
 observation pattern its arrival produces, weighted by the posterior
 probability of that pattern given the current knowledge.  Goal states are
 absorbing with zero cost; a one-time terminal cost (if the model defines
-one) is folded into the expected cost of actions that can terminate.
+one) is folded into the expected cost of actions that can terminate.  The
+determinization's single-target plans are this problem too, started from a
+knowledge vector with nothing unknown (``CompiledSsp(model, k, target)``).
 
 The compiled problem is generated lazily, one whole state at a time
 (``expand(i)``: every action's cost and successor row), so heuristic-search
@@ -65,69 +67,28 @@ QRows = Tuple[Tuple[Action, float, Row], ...]
 Answers = List[Tuple[Optional[Sequence[Tuple[State, float]]], Optional[float]]]
 
 
-class LazySsp:
-    """Per-state rows memoised over a subclass's uncached ``expand``.
-
-    ``expand(i)`` expands every action of ``i`` in one pass and returns one
-    ``(action, cost, row)`` triple per action, in action order: the expected
-    cost and the successor row ``((j, p), ...)`` of that action.
-    ``q_rows(i)``, the only cache, memoises it; ``successors`` and ``cost``
-    index it.  ``goal_flags[i]`` marks the goal states.
-    :func:`enumerate_reachable` calls ``walk_step``, which is ``expand``
-    unless a subclass overrides it, once per non-goal state.
-    """
-
-    def __init__(self, actions: Tuple[Action, ...]):
-        self.actions = actions
-        self.goal_flags: List[bool] = []
-        self._action_index = {a: n for n, a in enumerate(actions)}
-        self._q_rows: Dict[int, QRows] = {}
-
-    def expand(self, i: int) -> QRows:
-        raise NotImplementedError
-
-    def is_goal(self, i: int) -> bool:
-        return self.goal_flags[i]
-
-    def walk_step(self, i: int) -> Tuple[Optional[List[int]], Optional[QRows]]:
-        """:func:`enumerate_reachable`'s expansion of non-goal ``i``:
-        ``(None, expand(i))`` unless a subclass gathers the state's rows
-        itself (see :meth:`CompiledSsp.walk_step`)."""
-        return None, self.expand(i)
-
-    def q_rows(self, i: int) -> QRows:
-        rows = self._q_rows.get(i)
-        if rows is None:
-            rows = self._q_rows[i] = self.expand(i)
-        return rows
-
-    def successors(self, i: int, a: Action) -> Row:
-        return self.q_rows(i)[self._action_index[a]][2]
-
-    def cost(self, i: int, a: Action) -> float:
-        return self.q_rows(i)[self._action_index[a]][1]
-
-    def _goal_rows(self, i: int) -> QRows:
-        """A goal state's rows: every action stays put at zero cost."""
-        stay = ((i, 1.0),)
-        return tuple((a, 0.0, stay) for a in self.actions)
-
-
-class CompiledSsp(LazySsp):
+class CompiledSsp:
     """Lazy finite SSP over (base state, knowledge vector) pairs.
+
+    The start is ``model.start_state`` under ``k`` (default: every goal
+    unknown).  A state is a goal where the model terminates or, given a
+    determinized ``target``, where ``model.target_done`` holds; a terminal
+    cost is charged only where the model terminates.
 
     Base states are numbered once, in ``model.base_states`` order (``sid``),
     and knowledge vectors as they are first met (``kid``, keyed on their
     ``yes`` and ``no`` masks).  Compiled states get dense ids in discovery
     order; ``_ids[kid][sid]`` holds the id of ``(sid, kid)``, or ``None``
-    before it is met.
+    before it is met.  ``goal_flags[i]`` marks the goal states.
 
-    ``expand(i)`` does the per-state work once and then walks the actions.
-    The ``knowledge_effects`` and ``knowledge_step_cost`` hooks are called
-    once per (state, action) expansion and win when they answer.  Otherwise
-    the base dynamics are shared by every knowledge vector: per ``(sid, a)``
-    the checked base row ``model.transition(s, a)``, the same row with
-    repeated successors merged in first-seen order, the OR of its
+    ``expand(i)`` returns one ``(action, cost, row)`` per action, in action
+    order: the expected cost and the successor row ``((j, p), ...)``.
+    ``q_rows(i)``, the only cache, memoises it; ``successors`` and ``cost``
+    index it.  The ``knowledge_effects`` and ``knowledge_step_cost`` hooks
+    are called once per (state, action) expansion and win when they answer.
+    Otherwise the base dynamics are shared by every knowledge vector: per
+    ``(sid, a)`` the checked base row ``model.transition(s, a)``, the same
+    row with repeated successors merged in first-seen order, the OR of its
     successors' reveal masks and ``model.cost(s, a)`` are each read once
     and kept.  When no successor of the base row reveals a goal still
     unknown, the row's successors stay under the current knowledge vector
@@ -141,9 +102,23 @@ class CompiledSsp(LazySsp):
     Instances are not thread-safe: every solve compiles its own.
     """
 
-    def __init__(self, model: GusspModel):
-        super().__init__(model.actions)
+    def __init__(
+        self,
+        model: GusspModel,
+        k: Optional[KnowledgeVector] = None,
+        target: Optional[int] = None,
+    ):
         self.model = model
+        self.actions = model.actions
+        self.target = target
+        self.goal_flags: List[bool] = []
+        self._action_index = {a: n for n, a in enumerate(self.actions)}
+        self._q_rows: Dict[int, QRows] = {}
+        if target is None:
+            self._is_goal = model.is_terminal
+        else:
+            terminal, done = model.is_terminal, model.target_done
+            self._is_goal = lambda s, k: terminal(s, k) or done(s, target)
         self._base = model.base_states
         self._n_base = len(self._base)
         self._sid: Dict[State, int] = {s: sid for sid, s in enumerate(self._base)}
@@ -163,7 +138,8 @@ class CompiledSsp(LazySsp):
         # the base model's distance oracle, when compile_gussp's properness
         # check built one; hpg reads it instead of building its own
         self.distance_oracle: Optional[DistanceOracle] = None
-        self.start_id = self.intern(model.start_state, model.knowledge_all_unknown())
+        start_k = model.knowledge_all_unknown() if k is None else k
+        self.start_id = self.intern(model.start_state, start_k)
 
     def __len__(self) -> int:
         return len(self._sids)
@@ -181,7 +157,7 @@ class CompiledSsp(LazySsp):
         i = self._ids[kid][sid] = len(self._sids)
         self._sids.append(sid)
         self._kids.append(kid)
-        self.goal_flags.append(self.model.is_terminal(self._base[sid], self._kvs[kid]))
+        self.goal_flags.append(self._is_goal(self._base[sid], self._kvs[kid]))
         return i
 
     def intern(self, s: State, k: KnowledgeVector) -> int:
@@ -194,6 +170,21 @@ class CompiledSsp(LazySsp):
 
     def state(self, i: int) -> CompiledState:
         return CompiledState(self._base[self._sids[i]], self._kvs[self._kids[i]])
+
+    def is_goal(self, i: int) -> bool:
+        return self.goal_flags[i]
+
+    def q_rows(self, i: int) -> QRows:
+        rows = self._q_rows.get(i)
+        if rows is None:
+            rows = self._q_rows[i] = self.expand(i)
+        return rows
+
+    def successors(self, i: int, a: Action) -> Row:
+        return self.q_rows(i)[self._action_index[a]][2]
+
+    def cost(self, i: int, a: Action) -> float:
+        return self.q_rows(i)[self._action_index[a]][1]
 
     def _revelation_branches(self, kid: int, revealed: int) -> Tuple[Tuple[int, float], ...]:
         """Knowledge updates, as ``(kid, probability)``, when the goals in
@@ -339,8 +330,9 @@ class CompiledSsp(LazySsp):
         return None, self._rows(sid, kid, s, k, answers)
 
     def expand(self, i: int) -> QRows:
-        if self.goal_flags[i]:
-            return self._goal_rows(i)
+        if self.goal_flags[i]:  # every action stays put at zero cost
+            stay = ((i, 1.0),)
+            return tuple((a, 0.0, stay) for a in self.actions)
         sid, kid = self._sids[i], self._kids[i]
         s, k = self._base[sid], self._kvs[kid]
         return self._rows(sid, kid, s, k, self._answers(s, k))
@@ -386,7 +378,10 @@ class CompiledSsp(LazySsp):
             if exit_cost is not None:
                 for j, p in succ:
                     if goal_flags[j]:
-                        c += p * exit_cost(self._base[self._sids[j]])
+                        s2 = self._base[self._sids[j]]
+                        # a plan's goal need not be where the model terminates
+                        if self.target is None or model.is_terminal(s2, self._kvs[self._kids[j]]):
+                            c += p * exit_cost(s2)
             out.append((a, c, succ))
             pair += 1
         return tuple(out)
@@ -495,7 +490,7 @@ def _check_base_properness(model: GusspModel) -> DistanceOracle:
 
 
 def enumerate_reachable(
-    ssp: LazySsp,
+    ssp: CompiledSsp,
     state_budget: int = DEFAULT_STATE_BUDGET,
     require_proper: bool = True,
 ) -> Reachable:

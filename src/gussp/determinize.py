@@ -7,6 +7,8 @@ the task).  Two selection rules are provided: ``mlg`` picks the target with
 the maximum posterior marginal, ``cg`` the closest target by base-model
 distance.  Replanning is triggered only by disconfirmation of the current
 target; observations gathered en route simply sharpen the next selection.
+Each plan is the compiled problem itself, ``CompiledSsp(model, k_assumed,
+target)``, solved exactly and kept as base-state-keyed tables.
 ``execute_determinized`` is an ``act(s, k)`` closure over
 ``harness_types.run_episode``, the loop that also runs solved policies.
 """
@@ -19,27 +21,25 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .compiler import LazySsp, QRows, enumerate_reachable
-from .errors import NoEligibleGoal
+from .compiler import CompiledSsp, enumerate_reachable
+from .errors import ContradictoryObservation, NoEligibleGoal
 # build_distance_oracle and lao_star go unused: perfbench/spans.py patches them here
 from .heuristics import DistanceOracle, build_distance_oracle  # noqa: F401
 from .model import Action, GusspModel, KnowledgeVector, State, Status
 from .rng import derive_seed
-from .solvers import ValueTable, lao_star, value_iteration  # noqa: F401
+from .solvers import lao_star, value_iteration  # noqa: F401
 from .harness_types import Episode, run_episode
 
 
-def _eligible(model: GusspModel, s: State, k: KnowledgeVector) -> List[int]:
-    prior = model.prior
+def _eligible(model: GusspModel, s: State, k: KnowledgeVector) -> List[Tuple[float, int]]:
+    """``(marginal, i)`` for each goal ``i`` still possibly true (a ruled-out
+    goal's marginal is 0.0) and not yet achieved at ``s``, in goal order."""
+    marginal, done = model.prior.marginal, model.target_done
     out = []
     for i in range(model.n_goals):
-        if k.status_of(i) is Status.CONFIRMED_NOT_GOAL:
-            continue
-        if model.target_done(s, i):
-            continue
-        if prior.marginal(k, i) <= 0.0:
-            continue
-        out.append(i)
+        m = marginal(k, i)
+        if m > 0.0 and not done(s, i):
+            out.append((m, i))
     return out
 
 
@@ -57,10 +57,9 @@ def select_goal_mlg(
     rng: random.Random,
 ) -> int:
     """Most-likely-goal target: maximum posterior marginal, random on ties."""
-    eligible = _eligible(model, s, k)
-    if not eligible:
+    scored = _eligible(model, s, k)
+    if not scored:
         raise NoEligibleGoal(f"no eligible target at knowledge {k}")
-    scored = [(model.prior.marginal(k, i), i) for i in eligible]
     best = max(v for v, _ in scored)
     return _tied_choice(scored, rng, best)
 
@@ -73,79 +72,26 @@ def select_goal_cg(
     rng: random.Random,
 ) -> int:
     """Closest-goal target: minimum base distance among still-possible goals."""
-    eligible = [
-        i for i in _eligible(model, s, k) if oracle.dist(s, i) < math.inf
-    ]
-    if not eligible:
+    dist = [(oracle.dist(s, i), i) for _m, i in _eligible(model, s, k)]
+    scored = [(d, i) for d, i in dist if d < math.inf]
+    if not scored:
         raise NoEligibleGoal(f"no reachable eligible target at knowledge {k}")
-    scored = [(oracle.dist(s, i), i) for i in eligible]
     best = min(v for v, _ in scored)
     return _tied_choice(scored, rng, best)
-
-
-class AssumedTargetSsp(LazySsp):
-    """Single-target planning problem with goal uncertainty frozen out.
-
-    Base states are planned over directly, with the knowledge vector pinned
-    at the current knowledge plus "the target is a true goal".  No
-    revelation happens inside the plan; the plan ends where the model would
-    terminate under the assumption or where the target counts as achieved.
-    """
-
-    def __init__(self, model: GusspModel, k_assumed: KnowledgeVector, target: int):
-        super().__init__(model.actions)
-        self.model = model
-        self.k = k_assumed
-        self.target = target
-        self._ids: Dict[State, int] = {}
-        self._states: List[State] = []
-        self.start_id = self.intern(model.start_state)
-
-    def intern(self, s: State) -> int:
-        i = self._ids.get(s)
-        if i is None:
-            i = len(self._states)
-            self._ids[s] = i
-            self._states.append(s)
-            self.goal_flags.append(
-                self.model.is_terminal(s, self.k) or self.model.target_done(s, self.target)
-            )
-        return i
-
-    def state(self, i: int) -> State:
-        return self._states[i]
-
-    def expand(self, i: int) -> QRows:
-        if self.goal_flags[i]:
-            return self._goal_rows(i)
-        s, model = self._states[i], self.model
-        out = []
-        for a in self.actions:
-            succ = tuple(
-                (self.intern(s2), p)
-                for s2, p in model.transition_rows(s, a, self.k)
-                if p > 0.0
-            )
-            c = model.step_cost(s, a, self.k)
-            if model.terminal_cost is not None:
-                for j, p in succ:
-                    if self.goal_flags[j] and model.is_terminal(self._states[j], self.k):
-                        c += p * model.exit_cost(self._states[j])
-            out.append((a, c, succ))
-        return tuple(out)
 
 
 @dataclass
 class DeterminizedPlan:
     """A solved single-target plan, reusable across replans and trials.
 
-    ``policy`` covers every non-goal state of ``ssp`` reachable from the
-    base start, so a walk that stays on the assumption never leaves it."""
+    ``policy`` and ``value`` are keyed by base state: the plan's knowledge
+    never changes, so each of its compiled states is one base state.
+    ``policy`` covers every non-goal state reachable from the base start,
+    so a walk that stays on the assumption never leaves it."""
 
     target: int
-    ssp: AssumedTargetSsp
-    table: ValueTable
-    policy: Dict[int, Action]
+    policy: Dict[State, Action]
+    value: Dict[State, float]
 
 
 class PlanCache:
@@ -158,10 +104,11 @@ class PlanCache:
     "target plus confirmed sites true, everything else false", which lets
     runs that merely ruled out different decoys share one plan.
 
-    Each plan is one exact solve: ``enumerate_reachable`` over the assumed
-    problem's base states, then value iteration.  An assumed problem with a
-    reachable state that cannot finish raises ``ImproperModel``, and no plan
-    is cached for it."""
+    Each plan is one exact solve of ``CompiledSsp(model, k_assumed,
+    target)``: ``enumerate_reachable``, then value iteration.  An assumed
+    problem with a reachable state that cannot finish raises
+    ``ImproperModel``, naming that ``(s, k)`` pair, and no plan is cached
+    for it.  The cached plan keeps only its base-keyed tables."""
 
     def __init__(self, model: GusspModel, epsilon: float = 1e-6):
         self.model = model
@@ -173,21 +120,28 @@ class PlanCache:
         return len(self._plans)
 
     def plan_for(self, target: int, k: KnowledgeVector) -> Tuple[DeterminizedPlan, float]:
-        """Return the plan for ``target`` under ``k``, solving it on first use."""
-        k_assumed = k.confirm(yes=1 << target)
-        k_assumed = k_assumed.confirm(no=k_assumed.unknown_mask)
-        key = (target, k_assumed.yes)
+        """Return the plan for ``target`` under ``k``, solving it on first use.
+
+        Raises :class:`ContradictoryObservation` when ``k`` rules ``target``
+        out."""
+        if k.no >> target & 1:
+            raise ContradictoryObservation(f"target {target} is ruled out by {k}")
+        yes = k.yes | 1 << target
+        key = (target, yes)
         plan = self._plans.get(key)
         t0 = time.perf_counter()
         if plan is None:
-            ssp = AssumedTargetSsp(self.model, k_assumed, target)
+            ssp = CompiledSsp(self.model, KnowledgeVector.collapsed(k.n, yes), target)
             result = value_iteration(
                 ssp, reachable=enumerate_reachable(ssp), epsilon=self.epsilon
             )
-            plan = DeterminizedPlan(target, ssp, result.table, result.policy)
-            self._plans[key] = plan
-        elapsed = time.perf_counter() - t0
-        return plan, elapsed
+            states = [ssp.state(i).s for i in range(len(ssp))]
+            plan = self._plans[key] = DeterminizedPlan(
+                target,
+                policy={states[i]: a for i, a in result.policy.items()},
+                value={states[i]: v for i, v in result.table.values.items()},
+            )
+        return plan, time.perf_counter() - t0
 
 
 def execute_determinized(
@@ -229,7 +183,7 @@ def execute_determinized(
                 target = select_goal_cg(model, s, k, oracle, rng)
             targets += 1
         else:
-            a = plan.policy.get(plan.ssp.intern(s))
+            a = plan.policy.get(s)
             if a is not None:
                 return a
             # off the plan: re-plan this target under the current knowledge;
@@ -237,7 +191,7 @@ def execute_determinized(
             target = plan.target
         plan, elapsed = plan_cache.plan_for(target, k)
         plan_time += elapsed
-        a = plan.policy.get(plan.ssp.intern(s))
+        a = plan.policy.get(s)
         if a is None:
             raise NoEligibleGoal(f"plan for target {target} has no action at {s!r}")
         return a

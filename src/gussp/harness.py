@@ -41,9 +41,7 @@ class CellSpec:
     seed: int = 0
     epsilon: float = 1e-6
     flares_horizon: Optional[float] = 1
-    flares_trials: int = 100_000
     state_budget: int = DEFAULT_STATE_BUDGET
-    step_budget: int = 100_000
 
 
 @dataclass
@@ -195,7 +193,6 @@ def run_cell(
                 seed=derive_seed(spec.seed, trial),
                 oracle=oracle,
                 plan_cache=cache,
-                step_budget=spec.step_budget,
                 collect_trace=collect_traces,
             )
     else:
@@ -223,8 +220,7 @@ def run_cell(
                 solver_stat = result.expanded
             else:
                 result = flares(
-                    ssp, h, horizon=spec.flares_horizon, epsilon=spec.epsilon,
-                    max_trials=spec.flares_trials, seed=spec.seed,
+                    ssp, h, horizon=spec.flares_horizon, epsilon=spec.epsilon, seed=spec.seed,
                 )
                 solver_stat = result.trials
                 exhausted = result.exhausted
@@ -245,8 +241,7 @@ def run_cell(
                     t_r = time.perf_counter()
                     flares(
                         ssp, h, horizon=spec.flares_horizon, epsilon=spec.epsilon,
-                        max_trials=spec.flares_trials, seed=next(reseed),
-                        start=i, table=table,
+                        seed=next(reseed), start=i, table=table,
                     )
                     replanned[0] += time.perf_counter() - t_r
                 v, a, _ = bellman_backup(ssp, table, i)
@@ -257,7 +252,6 @@ def run_cell(
             out = execute_policy(
                 model, ssp, table, policy, g_mask,
                 make_rng("exec", spec.seed, trial),
-                step_budget=spec.step_budget,
                 collect_trace=collect_traces,
                 replan=replan,
             )

@@ -3,13 +3,13 @@
 All solvers share the same conventions: values live in a :class:`ValueTable`
 keyed by compiled-state id, goal states are pinned at zero, and ties between
 equal-valued actions always resolve to the action earliest in the model's
-action order.  Any :class:`~gussp.compiler.LazySsp` can be solved: solvers
-read ``start_id``, ``actions``, ``state(i)``, the ``goal_flags`` list and
+action order.  Every solver takes a :class:`~gussp.compiler.CompiledSsp`,
+the compiled problem or a determinization's single-target plan, and reads
+its ``start_id``, ``actions``, ``state(i)``, the ``goal_flags`` list and
 ``q_rows(i)``, the memoised ``expand(i)`` with one ``(action, cost,
 successor row)`` per action in action order, or its ``successors(i, a)``
 view.  Value iteration reads the same rows from
-:func:`~gussp.compiler.enumerate_reachable`'s arrays instead.  Both the
-compiled problem and the determinization's single-target problems qualify.
+:func:`~gussp.compiler.enumerate_reachable`'s arrays instead.
 """
 
 from __future__ import annotations

@@ -165,6 +165,18 @@ def test_run_benchmarks_bad_arguments_exit_2_before_any_cell(monkeypatch, argv):
     assert exc.value.code == 2
 
 
+def test_run_benchmarks_missing_instance_exits_2(tmp_path, capsys):
+    assert _run_benchmarks_script().main([str(tmp_path / "nope.txt")]) == 2
+    assert "nope.txt" in capsys.readouterr().err
+
+
+def test_run_benchmarks_malformed_instance_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(LINE4_TEXT[:LINE4_TEXT.index("goal: 3,0") + len("goal: 3,")])  # cut off
+    assert _run_benchmarks_script().main([LINE4, str(bad)]) == 2
+    assert "bad instance" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("horizon", [(), ("--flares-horizon", "none")])
 def test_run_benchmarks_rows_match_plan(tmp_path, capsys, horizon):
     # one report path: the matrix script writes the rows gussp plan writes

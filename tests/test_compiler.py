@@ -12,7 +12,6 @@ from gussp.compiler import (
     dump_compiled,
     enumerate_reachable,
 )
-from gussp.determinize import AssumedTargetSsp
 from gussp.domains import grid, load_instance
 from gussp.errors import ImproperModel, ModelError, StateBudgetExceeded
 from gussp.model import GoalPrior, GusspModel, KnowledgeVector
@@ -297,14 +296,25 @@ def test_reachable_rows_match_lazy_expansion(name):
 
 def test_assumed_target_ssp_enumerates_into_arrays(line4_model):
     k = line4_model.knowledge_all_unknown().confirm(yes=0b01, no=0b10)
-    ssp = AssumedTargetSsp(line4_model, k, target=0)
+    ssp = CompiledSsp(line4_model, k, target=0)
     reach = enumerate_reachable(ssp)
     assert not ssp._q_rows
-    assert [ssp.state(i) for i in range(len(reach))] == [(0, 0), (1, 0), (2, 0)]
+    assert [ssp.state(i).s for i in range(len(reach))] == [(0, 0), (1, 0), (2, 0)]
     assert_rows_match_lazy(ssp, reach)
     vi = value_iteration(ssp, reachable=reach)
     assert vi.table.value(ssp.start_id) == 2.0
     assert vi.policy[ssp.start_id] == "right"
+
+    # search4: a plan's goals are where the target victim is saved, which
+    # does not end the mission, and the save hook answers at the target site
+    _params, model = load_instance(str(INSTANCES / "search4.txt"))
+    k = model.knowledge_all_unknown().confirm(yes=0b001, no=0b110)
+    ssp = CompiledSsp(model, k, target=0)
+    reach = enumerate_reachable(ssp)
+    goals = [ssp.state(i) for i in np.flatnonzero(reach.goal)]
+    assert goals and not any(model.is_terminal(x.s, x.k) for x in goals)
+    assert any(model.knowledge_effects(ssp.state(i).s, "save", k) for i in range(len(reach)))
+    assert_rows_match_lazy(ssp, reach)
 
 
 def test_dead_end_after_revelation_is_improper():

@@ -3,13 +3,12 @@ import random
 import pytest
 
 from gussp.determinize import (
-    AssumedTargetSsp,
     PlanCache,
     execute_determinized,
     select_goal_cg,
     select_goal_mlg,
 )
-from gussp.errors import ImproperModel, NoEligibleGoal
+from gussp.errors import ContradictoryObservation, ImproperModel, NoEligibleGoal
 from gussp.harness import CellSpec, run_cell
 from gussp.heuristics import build_distance_oracle
 from gussp.model import GoalPrior, GusspModel, KnowledgeVector
@@ -52,16 +51,49 @@ def test_assumed_problem_plans_to_target(line4_model):
     k = line4_model.knowledge_all_unknown()
     cache = PlanCache(line4_model)
     plan, _t = cache.plan_for(1, k)
-    ssp = plan.ssp
-    i = ssp.intern((0, 0))
-    assert plan.policy[i] == "right"
-    assert plan.table.value(i) == pytest.approx(3.0)
+    assert plan.policy[(0, 0)] == "right"
+    assert plan.value[(0, 0)] == pytest.approx(3.0)
     # the nearer uncertain cell terminates the plan if it turns out true?
     # no: under the assumption only the target is pinned true, other cells
     # stay unknown and are not plan goals
-    j = ssp.intern((2, 0))
-    assert not ssp.is_goal(j)
-    assert ssp.is_goal(ssp.intern((3, 0)))
+    assert (2, 0) in plan.policy
+    assert (3, 0) not in plan.policy
+
+
+def test_plan_for_a_ruled_out_target_raises(line4_model):
+    cache = PlanCache(line4_model)
+    k = line4_model.knowledge_all_unknown()
+    cache.plan_for(0, k)
+    with pytest.raises(ContradictoryObservation):
+        cache.plan_for(0, k.confirm(no=0b01))
+    with pytest.raises(ContradictoryObservation):
+        cache.plan_for(1, k.confirm(no=0b10))
+    assert len(cache) == 1
+
+
+def test_plan_charges_no_exit_cost_where_the_model_does_not_terminate():
+    """On 0 -> 1 -> 2, target 1 (site 2) counts as achieved at 1, where
+    the model, with goal 0 (site 1) assumed false, does not terminate: the
+    plan ends there at the step's cost alone.  Target 0 ends where the
+    model terminates, so its plan pays the exit cost."""
+    model = GusspModel(
+        base_states=[0, 1, 2],
+        actions=("fwd",),
+        transition=lambda s, a: ((min(s + 1, 2), 1.0),),
+        cost=lambda s, a: 1.0,
+        start_state=0,
+        potential_goals=(1, 2),
+        prior=GoalPrior.uniform(2),
+        terminal_cost=lambda s: 10.0,
+        det_target_done=lambda s, target: s >= 1,
+    )
+    cache = PlanCache(model)
+    k = model.knowledge_all_unknown()
+    plan, _t = cache.plan_for(1, k)
+    assert 1 not in plan.policy
+    assert plan.value[0] == 1.0
+    plan, _t = cache.plan_for(0, k)
+    assert plan.value[0] == 11.0
 
 
 def test_plan_cache_shared_across_trials(line4_model, line4_oracle):
@@ -164,7 +196,7 @@ def test_rover_inner_plan_samples_cheaply():
     cache = PlanCache(model)
     plan, _t = cache.plan_for(0, k)
     # two moves plus the confirmed-site sample
-    assert plan.table.value(plan.ssp.intern((0, 0, False))) == pytest.approx(4.0)
+    assert plan.value[(0, 0, False)] == pytest.approx(4.0)
 
 
 def trap_line_model():
