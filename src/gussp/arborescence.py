@@ -35,14 +35,15 @@ class GoalGraph:
 
 
 def _check_deterministic(model: GusspModel) -> None:
-    for s in model.base_states:
-        for a in model.actions:
-            rows = [p for _, p in model.transition_rows(s, a) if p > 0.0]
-            if len(rows) != 1:
-                raise NonDeterministicModel(
-                    f"action {a!r} at {s!r} has {len(rows)} outcomes; "
-                    "goal-graph analysis needs deterministic movement"
-                )
+    table = model.base_table
+    for pair in range(len(table.states) * len(table.actions)):
+        row = table.row(pair)[0]
+        if len(row) != 1:
+            s, a = divmod(pair, len(table.actions))
+            raise NonDeterministicModel(
+                f"action {table.actions[a]!r} at {table.states[s]!r} has {len(row)} "
+                "outcomes; goal-graph analysis needs deterministic movement"
+            )
 
 
 def build_goal_graph(

@@ -9,26 +9,13 @@ one) is folded into the expected cost of actions that can terminate.  The
 determinization's single-target plans are this problem too, started from a
 knowledge vector with nothing unknown (``CompiledSsp(model, k, target)``).
 
-The compiled problem is generated lazily, one whole state at a time
-(``expand(i)``: every action's cost and successor row), so heuristic-search
-solvers can work on instances far too large to enumerate.  The base row,
-its reveal mask and the base cost of each (base state, action) are read
-once and shared by every knowledge vector; a row whose successors reveal
-nothing still unknown skips the revelation fold.
+:class:`CompiledSsp` generates the problem lazily, one whole state at a
+time, so heuristic-search solvers can work on instances far too large to
+enumerate; every SSP and plan of a model reads the base rows and costs
+from the model's one :class:`~gussp.model.BaseTable`.
 :func:`enumerate_reachable` is the eager path used by value iteration,
-oracles, and debug dumps: its breadth-first walk expands each non-goal
-state once and builds a CSR transition matrix over (state, action) rows, a
-cost array and a goal mask in :class:`Reachable`, without filling the lazy
-row cache.  A fresh SSP numbers its states in that walk's discovery order,
-so the walk's rows are the compiled ids.  Most states are plain: no hook
-answers, nothing still unknown is revealed and there is no terminal cost,
-so their rows are the merged base rows under their own knowledge vector.
-For those the walk only interns the base state's distinct successors, and
-one numpy gather over the memo (:meth:`CompiledSsp.base_tables`) writes
-all their rows once the walk ends; the other states' rows are written edge
-by edge.  The exact properness check is a vectorised walk back from the
-goals over the transposed matrix, level by level in numpy, with no
-per-edge Python objects.
+oracles and debug dumps: a breadth-first walk into the CSR arrays of
+:class:`Reachable`, whose rows are the compiled ids.
 """
 
 from __future__ import annotations
@@ -39,7 +26,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, TextIO, Tuple
 
 from .errors import ImproperModel, ModelError, StateBudgetExceeded
 from .heuristics import INF, DistanceOracle, build_distance_oracle
-from .model import Action, GusspModel, KnowledgeVector, State, PROB_TOL, submasks
+from .model import Action, GusspModel, KnowledgeVector, Row, State, submasks
 
 if TYPE_CHECKING:
     import numpy as np
@@ -61,7 +48,6 @@ class CompiledState:
         return f"({self.s!r}, {self.k})"
 
 
-Row = Tuple[Tuple[int, float], ...]
 QRows = Tuple[Tuple[Action, float, Row], ...]
 # per action: what knowledge_effects and knowledge_step_cost answered
 Answers = List[Tuple[Optional[Sequence[Tuple[State, float]]], Optional[float]]]
@@ -75,31 +61,19 @@ class CompiledSsp:
     determinized ``target``, where ``model.target_done`` holds; a terminal
     cost is charged only where the model terminates.
 
-    Base states are numbered once, in ``model.base_states`` order (``sid``),
-    and knowledge vectors as they are first met (``kid``, keyed on their
-    ``yes`` and ``no`` masks).  Compiled states get dense ids in discovery
-    order; ``_ids[kid][sid]`` holds the id of ``(sid, kid)``, or ``None``
-    before it is met.  ``goal_flags[i]`` marks the goal states.
+    Base states are numbered by the model's base table (``sid``), and
+    knowledge vectors as they are first met (``kid``).  Compiled states get
+    dense ids in discovery order; ``_ids[kid][sid]`` holds the id of
+    ``(sid, kid)``, or ``None`` before it is met.
 
     ``expand(i)`` returns one ``(action, cost, row)`` per action, in action
-    order: the expected cost and the successor row ``((j, p), ...)``.
-    ``q_rows(i)``, the only cache, memoises it; ``successors`` and ``cost``
-    index it.  The ``knowledge_effects`` and ``knowledge_step_cost`` hooks
-    are called once per (state, action) expansion and win when they answer.
-    Otherwise the base dynamics are shared by every knowledge vector: per
-    ``(sid, a)`` the checked base row ``model.transition(s, a)``, the same
-    row with repeated successors merged in first-seen order, the OR of its
-    successors' reveal masks and ``model.cost(s, a)`` are each read once
-    and kept.  When no successor of the base row reveals a goal still
-    unknown, the row's successors stay under the current knowledge vector
-    and are plain id lookups; only the other rows run the revelation fold.
-    ``expand(i)`` and ``walk_step(i)``, the eager walk's expansion, both ask
-    the hooks once for every action (``_answers``).  For a plain state
-    ``walk_step`` returns only the successor ids, read off the distinct
-    successors of the ``sid``'s merged rows (kept per ``sid``), and leaves
-    the rows to :func:`enumerate_reachable`'s gather; every other state goes
-    through ``_rows``, the per-action body ``expand`` uses.
-    Instances are not thread-safe: every solve compiles its own.
+    order; ``q_rows(i)``, the SSP's one row cache, memoises it, and
+    ``successors`` and ``cost`` index it.  The knowledge hooks are asked once
+    per (state, action) expansion (``_answers``) and win when they answer;
+    otherwise the row and cost come from the model's base table, which every
+    SSP and plan of the model shares, so a plan on a warm model reads no
+    base row.  Instances are not thread-safe: every solve compiles its own
+    ids and row cache over the model's one table.
     """
 
     def __init__(
@@ -112,28 +86,19 @@ class CompiledSsp:
         self.actions = model.actions
         self.target = target
         self.goal_flags: List[bool] = []
-        self._action_index = {a: n for n, a in enumerate(self.actions)}
+        self.table = table = model.base_table
         self._q_rows: Dict[int, QRows] = {}
         if target is None:
             self._is_goal = model.is_terminal
         else:
             terminal, done = model.is_terminal, model.target_done
             self._is_goal = lambda s, k: terminal(s, k) or done(s, target)
-        self._base = model.base_states
-        self._n_base = len(self._base)
-        self._sid: Dict[State, int] = {s: sid for sid, s in enumerate(self._base)}
-        self._reveal = [model.reveal_indices(s) for s in self._base]
+        self._base, self._sid, self._reveal = table.states, table.sid, table.reveal
         self._kid: Dict[int, int] = {}
         self._kvs: List[KnowledgeVector] = []
         self._ids: List[List[Optional[int]]] = []
         self._sids: List[int] = []
         self._kids: List[int] = []
-        # per sid * len(actions) + action position, once read: the base row
-        # as (row, merged row, reveal mask) and the base cost
-        n_pairs = self._n_base * len(self.actions)
-        self._base_rows: List[Optional[Tuple[Row, Row, int]]] = [None] * n_pairs
-        self._base_costs: List[Optional[float]] = [None] * n_pairs
-        self._unions: List[Optional[Tuple[Tuple[int, ...], int]]] = [None] * self._n_base
         self._branch_cache: Dict[int, Tuple[Tuple[int, float], ...]] = {}
         # the base model's distance oracle, when compile_gussp's properness
         # check built one; hpg reads it instead of building its own
@@ -150,7 +115,7 @@ class CompiledSsp:
         if kid is None:
             kid = self._kid[key] = len(self._kvs)
             self._kvs.append(k)
-            self._ids.append([None] * self._n_base)
+            self._ids.append([None] * len(self._base))
         return kid
 
     def _add(self, sid: int, kid: int) -> int:
@@ -181,10 +146,10 @@ class CompiledSsp:
         return rows
 
     def successors(self, i: int, a: Action) -> Row:
-        return self.q_rows(i)[self._action_index[a]][2]
+        return self.q_rows(i)[self.table.action_index[a]][2]
 
     def cost(self, i: int, a: Action) -> float:
-        return self.q_rows(i)[self._action_index[a]][1]
+        return self.q_rows(i)[self.table.action_index[a]][1]
 
     def _revelation_branches(self, kid: int, revealed: int) -> Tuple[Tuple[int, float], ...]:
         """Knowledge updates, as ``(kid, probability)``, when the goals in
@@ -210,37 +175,6 @@ class CompiledSsp:
         )
         self._branch_cache[key] = branches
         return branches
-
-    def _sid_row(self, rows, s: State, k: KnowledgeVector, a: Action) -> Row:
-        """Positive-probability outcomes of ``rows`` as ``(sid, p)``, checked."""
-        out = []
-        total = 0.0
-        for s2, p in rows:
-            if p <= 0.0:
-                continue
-            total += p
-            sid2 = self._sid.get(s2)
-            if sid2 is None:
-                raise ModelError(
-                    f"successor {s2!r} of {CompiledState(s, k)} / {a!r} is not a base state"
-                )
-            out.append((sid2, p))
-        if abs(total - 1.0) > PROB_TOL:
-            raise ModelError(
-                f"dynamics row for {CompiledState(s, k)} / {a!r} sums to {total!r}, expected 1"
-            )
-        return tuple(out)
-
-    def _base_row(self, s: State, k: KnowledgeVector, a: Action) -> Tuple[Row, Row, int]:
-        """``model.transition(s, a)`` checked, then merged by successor in
-        first-seen order, and the OR of its successors' reveal masks."""
-        row = self._sid_row(self.model.transition(s, a), s, k, a)
-        merged: Dict[int, float] = {}
-        mask = 0
-        for sid2, p in row:
-            merged[sid2] = merged.get(sid2, 0.0) + p
-            mask |= self._reveal[sid2]
-        return row, tuple(merged.items()), mask
 
     def _fold(self, kid: int, unknown: int, row: Row) -> Row:
         """The compiled successors of base ``row`` under ``kid``: each
@@ -281,44 +215,19 @@ class CompiledSsp:
                     answers[n] = (rows, c)
         return answers
 
-    def _union(self, sid: int, s: State, k: KnowledgeVector) -> Tuple[Tuple[int, ...], int]:
-        """The distinct successors of ``sid``'s merged base rows over all
-        actions, in first-seen order, and the OR of their reveal masks.
-        Reads every action's base row and base cost into the memo."""
-        union = self._unions[sid]
-        if union is None:
-            base_rows, base_costs, model = self._base_rows, self._base_costs, self.model
-            seen: Dict[int, None] = {}
-            mask = 0
-            pair = sid * len(self.actions)
-            for a in self.actions:
-                memo = base_rows[pair]
-                if memo is None:
-                    memo = base_rows[pair] = self._base_row(s, k, a)
-                if base_costs[pair] is None:
-                    base_costs[pair] = model.cost(s, a)
-                seen.update(dict.fromkeys(sid2 for sid2, _p in memo[1]))
-                mask |= memo[2]
-                pair += 1
-            union = self._unions[sid] = (tuple(seen), mask)
-        return union
-
     def walk_step(self, i: int) -> Tuple[Optional[List[int]], Optional[QRows]]:
         """``(ids, None)`` when ``i`` is plain, else ``(None, rows)`` with
-        the rows ``expand(i)`` gives.
-
-        A non-goal state is plain when no hook answers for any action, no
-        base row of its ``sid`` reveals a goal still unknown, and the model
-        has no ``terminal_cost``.  Its rows are then the merged base rows
+        the rows ``expand(i)`` gives.  A non-goal state is plain when no hook
+        answers, no base row of its ``sid`` reveals a goal still unknown and
+        the model has no ``terminal_cost``: its rows are the merged base rows
         under its own knowledge vector, which :func:`enumerate_reachable`
-        gathers in numpy once the walk ends (:meth:`base_tables`); ``ids``
-        are the state's distinct successors, interned in the order the rows
-        meet them."""
+        gathers from the table's CSR once the walk ends, and ``ids`` are its
+        successors in the table's union order, interned."""
         sid, kid = self._sids[i], self._kids[i]
         s, k = self._base[sid], self._kvs[kid]
         answers = self._answers(s, k)
         if answers is None and self.model.terminal_cost is None:
-            union, mask = self._union(sid, s, k)
+            union, mask = self.table.union(sid)
             if not mask & self.model.full_mask & ~(k.yes | k.no):
                 here = self._ids[kid]
                 ids = [here[sid2] for sid2 in union]
@@ -345,36 +254,26 @@ class CompiledSsp:
         goal_flags, model = self.goal_flags, self.model
         exit_cost = model.exit_cost if model.terminal_cost is not None else None
         unknown = model.full_mask & ~(k.yes | k.no)
-        here, add = self._ids[kid], self._add
-        base_rows, base_costs = self._base_rows, self._base_costs
+        here, add, table = self._ids[kid], self._add, self.table
+        rows_read, costs_read = table.rows, table.costs  # warm reads skip the method call
         pair = first = sid * len(self.actions)
         out = []
         for a in self.actions:
-            if answers is None:
-                rows = c = None
-            else:
-                rows, c = answers[pair - first]
+            rows, c = (None, None) if answers is None else answers[pair - first]
             if rows is not None:
-                succ = self._fold(kid, unknown, self._sid_row(rows, s, k, a))
+                succ = self._fold(kid, unknown, table.checked(rows, s, a, k))
             else:
-                memo = base_rows[pair]
-                if memo is None:
-                    memo = base_rows[pair] = self._base_row(s, k, a)
-                row, merged, mask = memo
+                row, merged, mask = rows_read[pair] or table.row(pair)
                 if mask & unknown:
                     succ = self._fold(kid, unknown, row)
-                else:
+                else:  # nothing still unknown revealed: the merged row's ids
                     succ = []
                     for sid2, p in merged:
                         j = here[sid2]
-                        if j is None:
-                            j = add(sid2, kid)
-                        succ.append((j, p))
+                        succ.append((add(sid2, kid) if j is None else j, p))
                     succ = tuple(succ)
             if c is None:
-                c = base_costs[pair]
-                if c is None:
-                    c = base_costs[pair] = model.cost(s, a)
+                c = costs_read[pair] or table.cost(pair)
             if exit_cost is not None:
                 for j, p in succ:
                     if goal_flags[j]:
@@ -385,34 +284,6 @@ class CompiledSsp:
             out.append((a, c, succ))
             pair += 1
         return tuple(out)
-
-    def base_tables(self):
-        """The memo as arrays, for :func:`enumerate_reachable`'s gather of
-        the plain rows: ``indptr``, ``succ`` and ``prob``, a CSR over the
-        pairs ``sid * A + a`` of the merged base rows (empty where unread);
-        ``cost``, the base cost per pair (NaN where unread); ``ids``, where
-        ``ids[kid, sid]`` is the compiled id (-1 where not interned); and
-        ``sids`` and ``kids``, the base state and knowledge vector of each
-        compiled id."""
-        import numpy as np
-
-        lens = np.zeros(len(self._base_rows) + 1, dtype=np.intc)
-        succ, prob = array("i"), array("d")
-        for pair, memo in enumerate(self._base_rows):
-            if memo is not None:
-                lens[pair + 1] = len(memo[1])
-                for sid2, p in memo[1]:
-                    succ.append(sid2)
-                    prob.append(p)
-        sids = np.array(self._sids, dtype=np.intc)
-        kids = np.array(self._kids, dtype=np.intc)
-        ids = np.full((len(self._kvs), self._n_base), -1, dtype=np.intc)
-        ids[kids, sids] = np.arange(len(sids), dtype=np.intc)
-        cost = np.array([np.nan if c is None else c for c in self._base_costs])
-        return (
-            np.cumsum(lens, dtype=np.intc), np.frombuffer(succ, dtype=np.intc),
-            np.frombuffer(prob, dtype=float), cost, ids, sids, kids,
-        )
 
 
 @dataclass
@@ -441,46 +312,43 @@ def compile_gussp(model: GusspModel) -> CompiledSsp:
     """Compile a model, rejecting obviously improper ones up front.
 
     For models whose goals are literal base states with the default
-    termination rule and no knowledge hooks, a conservative base-graph check
-    requires every base state reachable from the start to reach every
-    potential goal that has positive prior mass;
-    otherwise some knowledge vector would strand the agent.  Domains with
-    custom termination validate their own connectivity, and the eager
-    :func:`enumerate_reachable` pass re-checks properness exactly.  Build
-    ``CompiledSsp(model)`` directly to skip the up-front check.
-    """
+    termination rule and no knowledge hooks, every base state reachable from
+    the start must reach every potential goal with positive prior mass;
+    otherwise some knowledge vector would strand the agent.  The eager
+    :func:`enumerate_reachable` re-checks properness exactly.  Build
+    ``CompiledSsp(model)`` directly to skip the up-front check."""
     ssp = CompiledSsp(model)
     if (
         model.terminal_test is None
         and model.knowledge_effects is None
         and model.goal_membership is None
     ):
-        # only meaningful when goals are literal places on the base graph;
-        # projected goals (time labels, factored cells) need not stay
-        # mutually reachable
+        # only meaningful when goals are literal places on the base graph; projected
+        # goals (time labels, factored cells) need not stay mutually reachable
         ssp.distance_oracle = _check_base_properness(model)
     return ssp
 
 
 def _check_base_properness(model: GusspModel) -> DistanceOracle:
-    """A forward walk from the start, then one distance-oracle build: a base
-    state reaches goal ``i`` exactly when its oracle distance to ``i`` is
-    finite, since the oracle searches backward over the same graph of
-    ``p > 0`` outcomes.  The first stranded state in walk order is named;
-    otherwise the oracle is returned."""
-    walk = [model.start_state]
+    """A forward walk over the base table's successor unions, then one
+    distance-oracle build: a base state reaches goal ``i`` exactly when its
+    oracle distance to ``i`` is finite, as the oracle searches backward over
+    the same ``p > 0`` outcomes.  Names the first stranded state in walk
+    order, or returns the oracle."""
+    table = model.base_table
+    walk = [table.sid[model.start_state]]
     seen = set(walk)
-    for s in walk:  # breadth first: the list grows as the loop reads it
-        for a in model.actions:
-            for s2, p in model.transition(s, a):
-                if p > 0.0 and s2 not in seen:
-                    seen.add(s2)
-                    walk.append(s2)
+    for sid in walk:  # breadth first: the list grows as the loop reads it
+        for sid2 in table.union(sid)[0]:
+            if sid2 not in seen:
+                seen.add(sid2)
+                walk.append(sid2)
 
     oracle = build_distance_oracle(model)
     all_unknown = model.knowledge_all_unknown()
     goals = [i for i in range(model.n_goals) if model.prior.marginal(all_unknown, i) > 0.0]
-    for s in walk:
+    for sid in walk:
+        s = table.states[sid]
         for i in goals:
             if oracle.dist(s, i) == INF:
                 raise ImproperModel(
@@ -501,22 +369,17 @@ def enumerate_reachable(
     left alone.  Goal states are absorbing and not expanded.  The walk takes
     ids ``0, 1, 2, ...`` as its queue: expansion numbers new successors in
     the order the walk meets them, so on an SSP no lazy solver has touched
-    the start is id 0 and each newly found state is the next id.
-
-    A :class:`CompiledSsp` state that is plain (no hook answers, nothing
-    still unknown revealed, no terminal cost) only interns its distinct
-    successors during the walk; its rows are the merged base rows of its
-    ``sid`` mapped through its knowledge vector's ids, so once the walk ends
-    one numpy gather over :meth:`CompiledSsp.base_tables` writes them all,
-    in bounded chunks of ``np.intc`` indices.  Every other state's rows are
+    the start is id 0 and each newly found state is the next id.  A plain
+    state only interns its successors during the walk; its rows are the
+    merged base rows of its ``sid`` mapped through its knowledge vector's
+    ids, so once the walk ends one numpy gather over the base table's CSR
+    writes them all, in bounded chunks.  Every other state's rows are
     written edge by edge as the walk expands it.
 
     Raises :class:`ValueError` if the SSP was numbered otherwise,
     :class:`StateBudgetExceeded` past ``state_budget`` states and, when
     ``require_proper``, :class:`ImproperModel` if some reachable state cannot
-    reach a goal; that check walks back from the goals over the transposed
-    matrix in numpy (:func:`_dead_states`) and makes no per-edge Python
-    objects.
+    reach a goal (:func:`_dead_states`, a numpy walk back from the goals).
     """
     import numpy as np
     from scipy import sparse
@@ -568,7 +431,10 @@ def enumerate_reachable(
     row_cost[explicit] = np.frombuffer(cost, dtype=float).reshape(-1, n_actions)
     plain = np.frombuffer(plain, dtype=np.intc)
     if plain.size:
-        b_ptr, b_succ, b_prob, b_cost, ids_of, sids, kids = ssp.base_tables()
+        b_ptr, b_succ, b_prob, b_cost = ssp.table.csr()
+        sids, kids = np.array(ssp._sids, dtype=np.intc), np.array(ssp._kids, dtype=np.intc)
+        ids_of = np.full((len(ssp._kvs), len(ssp._base)), -1, dtype=np.intc)
+        ids_of[kids, sids] = np.arange(len(sids), dtype=np.intc)  # [kid, sid]: compiled id
         psid = sids[plain]
         row_len[plain] = np.diff(b_ptr).reshape(-1, n_actions)[psid]
         row_cost[plain] = b_cost.reshape(-1, n_actions)[psid]

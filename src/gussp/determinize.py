@@ -8,7 +8,8 @@ the maximum posterior marginal, ``cg`` the closest target by base-model
 distance.  Replanning is triggered only by disconfirmation of the current
 target; observations gathered en route simply sharpen the next selection.
 Each plan is the compiled problem itself, ``CompiledSsp(model, k_assumed,
-target)``, solved exactly and kept as base-state-keyed tables.
+target)``, solved exactly and kept as base-state-keyed tables; all plans
+read the model's one base table, so only the first reads base rows.
 ``execute_determinized`` is an ``act(s, k)`` closure over
 ``harness_types.run_episode``, the loop that also runs solved policies.
 """
@@ -108,7 +109,8 @@ class PlanCache:
     target)``: ``enumerate_reachable``, then value iteration.  An assumed
     problem with a reachable state that cannot finish raises
     ``ImproperModel``, naming that ``(s, k)`` pair, and no plan is cached
-    for it.  The cached plan keeps only its base-keyed tables."""
+    for it.  The cached plan keeps only its base-keyed tables; the base rows
+    stay in the model's table, shared with every other plan."""
 
     def __init__(self, model: GusspModel, epsilon: float = 1e-6):
         self.model = model

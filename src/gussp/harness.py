@@ -109,12 +109,15 @@ def execute_policy(
     when given, picks the action at every visited state and may keep solving
     as a side effect; trial-based planners use it to extend their labeled
     region whenever execution leaves it.  Otherwise states the policy never
-    covered fall back to a one-step greedy choice on the value table."""
+    covered fall back to a one-step greedy backup on the value table, written
+    back as RTDP does, so a walk that returns to a state does not cycle."""
 
     def act(s: State, k: KnowledgeVector) -> Action:
         i = ssp.intern(s, k)
         a = replan(i) if replan is not None else policy.get(i)
-        return a if a is not None else bellman_backup(ssp, table, i)[1]
+        if a is None:
+            table.values[i], a, _ = bellman_backup(ssp, table, i)
+        return a
 
     return run_episode(
         model, g_mask, rng, act, step_budget=step_budget, collect_trace=collect_trace,

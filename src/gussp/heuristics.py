@@ -48,37 +48,38 @@ class DistanceOracle:
 
 
 def build_distance_oracle(model: GusspModel) -> DistanceOracle:
-    """Backward uniform-cost search from every potential goal's sites."""
-    redges: Dict[State, Dict[State, float]] = {s: {} for s in model.base_states}
-    for s in model.base_states:
-        for a in model.actions:
-            w = model.cost(s, a)
-            for s2, p in model.transition(s, a):
-                if p <= 0.0 or s2 == s:
-                    continue
-                prev = redges[s2].get(s)
-                if prev is None or w < prev:
-                    redges[s2][s] = w
+    """Backward uniform-cost search from every potential goal's sites, over
+    the edges of the model's base table."""
+    table = model.base_table
+    n_actions = len(table.actions)
+    # per sid: each predecessor sid and the cheapest action cost into it
+    redges: List[Dict[int, float]] = [{} for _ in table.states]
+    for pair in range(len(redges) * n_actions):
+        sid = pair // n_actions
+        w = table.cost(pair)
+        for sid2, _p in table.row(pair)[1]:
+            if sid2 != sid and w < redges[sid2].get(sid, INF):
+                redges[sid2][sid] = w
 
-    dist: Dict[State, List[float]] = {s: [INF] * model.n_goals for s in model.base_states}
+    dist = [[INF] * model.n_goals for _ in redges]
     for i in range(model.n_goals):
-        heap: List[Tuple[float, int, State]] = []
+        heap: List[Tuple[float, int, int]] = []
         tie = itertools.count()
         done = set()
         for site in model.goal_sites(i):
-            dist[site][i] = 0.0
-            heapq.heappush(heap, (0.0, next(tie), site))
+            dist[table.sid[site]][i] = 0.0
+            heapq.heappush(heap, (0.0, next(tie), table.sid[site]))
         while heap:
-            d, _, s = heapq.heappop(heap)
-            if s in done:
+            d, _, sid = heapq.heappop(heap)
+            if sid in done:
                 continue
-            done.add(s)
-            for prev, w in redges[s].items():
+            done.add(sid)
+            for prev, w in redges[sid].items():
                 nd = d + w
                 if nd < dist[prev][i]:
                     dist[prev][i] = nd
                     heapq.heappush(heap, (nd, next(tie), prev))
-    return DistanceOracle(n_goals=model.n_goals, _dist=dist)
+    return DistanceOracle(n_goals=model.n_goals, _dist=dict(zip(table.states, dist)))
 
 
 class HpgHeuristic:

@@ -13,15 +13,23 @@ beliefs is therefore finite and each one is represented losslessly by a
 Configurations are encoded as bitmasks over potential-goal indices: bit i
 set means ``potential_goals[i]`` is a true goal.  The empty configuration
 is excluded; at least one potential goal is always true.
+
+Partial observability is confined to the goals, so the base dynamics do not
+depend on the knowledge vector.  Each model therefore keeps one lazily
+filled :class:`BaseTable` (``model.base_table``): the compiler, every
+determinized plan, the distance oracle, the base checks and the world step
+read each base row and cost through it, at most once per model.
 """
 
 from __future__ import annotations
 
 import enum
 import random
+import weakref
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, compress
 from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -336,6 +344,10 @@ class GusspModel:
     termination rule (standing on a potential goal confirmed true).
     ``terminal_cost(s)`` is a one-time nonnegative cost charged when the
     process terminates in ``s``.
+
+    After ``_validate_dynamics``, ``transition`` and ``cost`` are read only
+    through ``base_table``; ``transition_rows`` and ``step_cost`` are the
+    plain, unmemoised reading of the hooks and base dynamics.
     """
 
     def __init__(
@@ -468,6 +480,11 @@ class GusspModel:
             mask |= 1 << idx
         return mask
 
+    @cached_property
+    def base_table(self) -> "BaseTable":
+        """The model's one :class:`BaseTable`, made on first use."""
+        return BaseTable(self)
+
     def knowledge_all_unknown(self) -> KnowledgeVector:
         return KnowledgeVector.all_unknown(self.n_goals)
 
@@ -545,6 +562,112 @@ class GusspModel:
                     )
 
 
+Row = Tuple[Tuple[int, float], ...]
+
+
+def _where(s: State, k: Optional[KnowledgeVector]) -> str:
+    return repr(s) if k is None else f"({s!r}, {k})"
+
+
+class BaseTable:
+    """The base dynamics of one model, each row and cost read at most once.
+
+    ``sid`` numbers the base states in ``model.base_states`` order, and a
+    ``pair`` is ``sid * len(actions)`` plus the action's position.  On first
+    request ``row(pair)`` reads ``model.transition(s, a)`` and keeps in
+    ``rows`` the checked row (``p > 0`` outcomes as ``(sid, p)``, in
+    ``transition`` order), the row merged by successor in first-seen order
+    and the OR of its successors' reveal masks; ``cost(pair)`` keeps
+    ``model.cost(s, a)`` in ``costs``.  Both look the function up on the
+    model as they read, so a wrapper put on it later sees every read."""
+
+    def __init__(self, model: GusspModel):
+        self.model = weakref.proxy(model)  # no cycle: a dropped model frees at once
+        self.states, self.actions = model.base_states, model.actions
+        self.action_index = {a: n for n, a in enumerate(self.actions)}
+        self.sid = {s: sid for sid, s in enumerate(self.states)}
+        self.reveal = [model.reveal_indices(s) for s in self.states]
+        self.costs: List[Optional[float]] = [None] * len(self.states) * len(self.actions)
+        self.rows: List[Optional[Tuple[Row, Row, int]]] = [None] * len(self.costs)
+        self._unions: List[Optional[Tuple[Tuple[int, ...], int]]] = [None] * len(self.states)
+        self._reads, self._csr = 0, None  # csr() is rebuilt after new reads
+
+    def checked(self, rows, s: State, a: Action, k: Optional[KnowledgeVector] = None) -> Row:
+        """The ``p > 0`` outcomes of ``rows`` at ``(s, a)`` as ``(sid, p)``;
+        :class:`ModelError` if one is not a base state or they do not sum
+        to 1.  ``k`` is given for a hook's row, to name where it came from."""
+        sid, out, total = self.sid, [], 0.0
+        for s2, p in rows:
+            if p > 0.0:
+                total += p
+                sid2 = sid.get(s2)
+                if sid2 is None:
+                    raise ModelError(
+                        f"successor {s2!r} of {_where(s, k)} / {a!r} is not a base state"
+                    )
+                out.append((sid2, p))
+        if abs(total - 1.0) > PROB_TOL:
+            raise ModelError(
+                f"dynamics row for {_where(s, k)} / {a!r} sums to {total!r}, expected 1"
+            )
+        return tuple(out)
+
+    def row(self, pair: int) -> Tuple[Row, Row, int]:
+        """``(checked row, merged row, reveal-mask OR)`` of ``pair``."""
+        memo = self.rows[pair]
+        if memo is None:
+            s, a = self.states[pair // len(self.actions)], self.actions[pair % len(self.actions)]
+            row = self.checked(self.model.transition(s, a), s, a)
+            acc: Dict[int, float] = {}
+            mask = 0
+            for sid2, p in row:
+                acc[sid2] = acc.get(sid2, 0.0) + p
+                mask |= self.reveal[sid2]
+            # without repeated successors the merged row is the row itself
+            merged = row if len(acc) == len(row) else tuple(acc.items())
+            memo = self.rows[pair] = (row, merged, mask)
+            self._reads += 1
+        return memo
+
+    def cost(self, pair: int) -> float:
+        c = self.costs[pair]
+        if c is None:
+            s, a = self.states[pair // len(self.actions)], self.actions[pair % len(self.actions)]
+            c = self.costs[pair] = self.model.cost(s, a)
+            self._reads += 1
+        return c
+
+    def union(self, sid: int) -> Tuple[Tuple[int, ...], int]:
+        """``sid``'s distinct successors over all actions, in first-seen
+        order, and their reveal-mask OR; reads every action's row and cost."""
+        union = self._unions[sid]
+        if union is None:
+            seen: Dict[int, None] = {}
+            mask = 0
+            for pair in range(sid * len(self.actions), (sid + 1) * len(self.actions)):
+                self.cost(pair)
+                _row, merged, m = self.row(pair)
+                seen.update(dict.fromkeys(sid2 for sid2, _p in merged))
+                mask |= m
+            union = self._unions[sid] = (tuple(seen), mask)
+        return union
+
+    def csr(self):
+        """The merged rows read so far, over the pairs: ``indptr``, ``succ``
+        and ``prob`` (empty where unread), and ``cost`` (NaN where unread)."""
+        if self._csr is None or self._csr[0] != self._reads:
+            import numpy as np
+
+            merged = [() if memo is None else memo[1] for memo in self.rows]
+            indptr = np.zeros(len(merged) + 1, dtype=np.intc)
+            np.cumsum([len(m) for m in merged], out=indptr[1:])
+            succ = np.array([sid2 for m in merged for sid2, _p in m], dtype=np.intc)
+            prob = np.array([p for m in merged for _sid2, p in m], dtype=float)
+            cost = np.array([np.nan if c is None else c for c in self.costs])
+            self._csr = self._reads, (indptr, succ, prob, cost)
+        return self._csr[1]
+
+
 def observe(model: GusspModel, s_arrived: State, g_true) -> Observation:
     """Myopic observation emitted on arrival at ``s_arrived`` under ``g_true``."""
     g = model.config_mask(g_true)
@@ -573,13 +696,16 @@ def step_world(
 ) -> Tuple[State, float, Observation]:
     """One environment step under the true configuration ``g_mask``.
 
-    Outcomes and costs come from the model evaluated at ``k_true``, the
-    fully collapsed knowledge vector of ``g_mask`` (the world knows the
-    truth); the episode loop, ``harness_types.run_episode``, builds it once
-    per episode with ``model.collapsed_knowledge(g_mask)``.  The returned
-    observation is what the agent gets to see.
-    """
-    paid = model.step_cost(s, a, k_true)
-    rows = model.transition_rows(s, a, k_true)
-    s2 = sample_row(list(rows), rng)
-    return s2, paid, observe(model, s2, g_mask)
+    The hooks are asked at ``k_true``, the collapsed knowledge vector of
+    ``g_mask`` (the world knows the truth), the cost hook first; the base
+    table's row and cost stand in where they do not answer, and the outcome
+    is one draw over the checked row.  The observation, what the agent gets
+    to see, is :func:`observe`'s, from the table's reveal mask."""
+    table = model.base_table
+    pair = table.sid[s] * len(table.actions) + table.action_index[a]
+    paid = None if model.knowledge_step_cost is None else model.knowledge_step_cost(s, a, k_true)
+    rows = None if model.knowledge_effects is None else model.knowledge_effects(s, a, k_true)
+    sid2 = sample_row(table.row(pair)[0] if rows is None else table.checked(rows, s, a, k_true), rng)
+    revealed = table.reveal[sid2]
+    obs = Observation(yes=revealed & g_mask, no=revealed & ~g_mask)
+    return table.states[sid2], table.cost(pair) if paid is None else paid, obs

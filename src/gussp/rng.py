@@ -26,12 +26,13 @@ def make_rng(*parts) -> random.Random:
 
 
 def sample_row(rows: Sequence[Tuple[T, float]], rng: random.Random) -> T:
-    """Sample an outcome from a list of (item, probability) pairs."""
+    """Sample an outcome from (item, probability) pairs.  An entry with ``p
+    == 0`` is never drawn, so dropping such entries draws the same item."""
     u = rng.random()
     acc = 0.0
     for item, p in rows:
         acc += p
         if u < acc:
             return item
-    # guard against accumulated rounding on the last row
-    return rows[-1][0]
+    # rounding left the total at or below u: the last outcome that can happen
+    return next(item for item, p in reversed(rows) if p > 0.0)

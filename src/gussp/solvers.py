@@ -350,7 +350,7 @@ def flares(
             visited.append(i)
             _apply_backup(ssp, table, i)
             a = table.greedy[i]
-            i = sample_row(list(ssp.successors(i, a)), rng)
+            i = sample_row(ssp.successors(i, a), rng)
             steps += 1
         while visited:
             j = visited.pop()

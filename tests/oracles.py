@@ -14,7 +14,8 @@ import math
 from collections import deque
 from typing import Dict, FrozenSet, List, Tuple
 
-from gussp.model import GusspModel, KnowledgeVector, Observation, Status, bits_of
+from gussp.model import GusspModel, KnowledgeVector, Observation, Status, bits_of, observe
+from gussp.rng import sample_row
 
 Belief = Tuple[Tuple[int, float], ...]  # ((config_mask, prob), ...), sorted
 
@@ -135,6 +136,19 @@ def belief_space_values(
 
 def belief_space_start_value(model: GusspModel, **kw) -> float:
     return belief_space_values(model, **kw)[1]
+
+
+# -- world step reference -----------------------------------------------------
+
+
+def step_world_reference(model: GusspModel, s, a, g_mask: int, k_true: KnowledgeVector, rng):
+    """One environment step read straight off the model: the cost and the
+    row through ``step_cost`` and ``transition_rows`` at ``k_true``, one
+    draw over the raw row, and the arrival observation."""
+    paid = model.step_cost(s, a, k_true)
+    rows = model.transition_rows(s, a, k_true)
+    s2 = sample_row(list(rows), rng)
+    return s2, paid, observe(model, s2, g_mask)
 
 
 # -- arborescence reference ---------------------------------------------------

@@ -15,6 +15,8 @@ from gussp.compiler import (
 from gussp.domains import grid, load_instance
 from gussp.errors import ImproperModel, ModelError, StateBudgetExceeded
 from gussp.model import GoalPrior, GusspModel, KnowledgeVector
+from gussp.determinize import PlanCache
+from gussp.harness import CellSpec, run_cell
 from gussp.solvers import value_iteration
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -474,6 +476,23 @@ def test_hook_contract(path):
     assert calls["knowledge_step_cost"] == expanded
     for name in ("transition", "cost"):
         assert calls[name] and max(calls[name].values()) == 1, name
+
+
+@pytest.mark.parametrize("name", ["rover6", "grid8_landmark"])
+def test_each_base_row_is_read_once_per_model(name):
+    """Two fresh compiled SSPs, plans for three targets and 30 det-mlg
+    trials share the model's base table: no base row or cost is read
+    twice."""
+    _params, model = load_instance(str(INSTANCES / f"{name}.txt"))
+    calls = count_calls(model)
+    for _ in range(2):
+        enumerate_reachable(compile_gussp(model))
+    cache = PlanCache(model)
+    for target in range(3):
+        cache.plan_for(target, model.knowledge_all_unknown())
+    run_cell(model, CellSpec(name=name, algorithm="det-mlg", trials=30))
+    for kind in ("transition", "cost"):
+        assert calls[kind] and max(calls[kind].values()) == 1, kind
 
 
 def test_answered_hook_skips_the_base_row():

@@ -17,8 +17,9 @@ from gussp.harness import (
     write_trials_csv,
     emit_trace,
 )
+from gussp.heuristics import make_heuristic
 from gussp.rng import make_rng
-from gussp.solvers import value_iteration
+from gussp.solvers import flares, value_iteration
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -136,6 +137,22 @@ def test_execute_policy_falls_back_to_table_backups(line4_solved, line4_model):
             ]
             assert walks[0] == walks[1]
             assert walks[0].trace[0].action == "right"
+
+
+def test_execute_policy_fallback_writes_back_its_backups():
+    """A depth-1 FLARES policy executed with no replan hook leaves its
+    labeled region; the greedy fallback writes back what it backs up, as
+    RTDP does, so no grid8_landmark trial cycles until the budget ends."""
+    _params, model = load_instance(str(INSTANCES / "grid8_landmark.txt"))
+    ssp = compile_gussp(model)
+    result = flares(ssp, make_heuristic("hpg", ssp), horizon=1, epsilon=1e-6, seed=0)
+    failed = 0
+    for trial in range(30):
+        g_mask = model.sample_config(make_rng("config", 0, trial))
+        out = execute_policy(model, ssp, result.table, result.policy, g_mask,
+                             make_rng("exec", 0, trial), step_budget=2_000)
+        failed += out.failed
+    assert failed == 0
 
 
 @pytest.mark.parametrize("algorithm,trials", [
