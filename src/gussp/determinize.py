@@ -26,7 +26,7 @@ from .compiler import CompiledSsp, enumerate_reachable
 from .errors import ContradictoryObservation, NoEligibleGoal
 # build_distance_oracle and lao_star go unused: perfbench/spans.py patches them here
 from .heuristics import DistanceOracle, build_distance_oracle  # noqa: F401
-from .model import Action, GusspModel, KnowledgeVector, State, Status
+from .model import Action, GusspModel, KnowledgeVector, State
 from .rng import derive_seed
 from .solvers import lao_star, value_iteration  # noqa: F401
 from .harness_types import Episode, run_episode
@@ -172,13 +172,11 @@ def execute_determinized(
     plan: Optional[DeterminizedPlan] = None
     targets = 0
     plan_time = 0.0
+    done = model.target_done
 
     def act(s: State, k: KnowledgeVector) -> Action:
         nonlocal plan, targets, plan_time
-        if plan is None or (
-            k.status_of(plan.target) is Status.CONFIRMED_NOT_GOAL
-            or model.target_done(s, plan.target)
-        ):
+        if plan is None or k.no >> plan.target & 1 or done(s, plan.target):
             if selector == "mlg":
                 target = select_goal_mlg(model, s, k, rng)
             else:

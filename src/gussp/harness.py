@@ -11,10 +11,12 @@ across algorithms run with the same seed.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 import statistics
 import time
+from array import array
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, TextIO, Tuple
 
@@ -122,6 +124,13 @@ def execute_policy(
     return run_episode(
         model, g_mask, rng, act, step_budget=step_budget, collect_trace=collect_trace,
     )
+
+
+@functools.lru_cache(maxsize=4, typed=True)
+def _config_draws(seed: int, trials: int) -> array:
+    """Each trial's uniform configuration draw, read-only: the cells of a
+    batch that share a seed share it instead of re-seeding one rng per trial."""
+    return array("d", (make_rng("config", seed, t).random() for t in range(trials)))
 
 
 def _config_string(g_mask: int) -> str:
@@ -266,8 +275,8 @@ def run_cell(
     plan_time_first = plan_time
     booked = 0.0
     t1 = time.perf_counter()
-    for trial in range(spec.trials):
-        g_mask = model.sample_config(make_rng("config", spec.seed, trial))
+    for trial, u in enumerate(_config_draws(spec.seed, spec.trials)):
+        g_mask = model.prior.config_at(u)
         out = episode(g_mask, trial)
         if det and trial == 0:
             plan_time_first = out.plan_time

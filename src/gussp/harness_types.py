@@ -1,14 +1,17 @@
 """The one episode loop, ``run_episode``, and the records it returns.
 
 Both executors, ``harness.execute_policy`` and
-``determinize.execute_determinized``, are an ``act(s, k)`` closure over it."""
+``determinize.execute_determinized``, are an ``act(s, k)`` closure over it.
+The loop takes ``model.step_world``'s step inline over the model's base
+table, so a step that reveals nothing builds no object; ``step_world``
+stays the public one-step API."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
-from .model import Action, GusspModel, KnowledgeVector, State, apply_observation, step_world
+from .model import Action, GusspModel, KnowledgeVector, Observation, State
 
 
 @dataclass(frozen=True)
@@ -54,23 +57,48 @@ def run_episode(
     At every nonterminal step ``act(s, k)`` picks the action from the base
     state and the agent's knowledge; only then does the world draw its
     outcome from ``rng``, so an actor that draws from the same ``rng`` keeps
-    its draws in step order.  Exceeding ``step_budget`` marks the episode
-    failed; on termination the model's exit cost is added."""
+    its draws in step order.  The world step is ``step_world``'s, read
+    inline over the model's base table; an arrival is folded into ``k`` only
+    when it reveals a goal still unknown, and an ``Observation`` is built
+    only for the trace.  Exceeding ``step_budget`` marks the episode failed;
+    on termination the model's exit cost is added."""
+    table = model.base_table
+    states, rows, costs, reveal = table.states, table.rows, table.costs, table.reveal
+    action_index, width = table.action_index, len(table.actions)
+    cost_hook, effects_hook = model.knowledge_step_cost, model.knowledge_effects
+    is_terminal, draw = model.is_terminal, rng.random
     s = model.start_state
+    sid = table.sid[s]
     k = model.knowledge_all_unknown()
     k_true = model.collapsed_knowledge(g_mask)
-    cost = 0.0
-    steps = 0
+    cost, steps = 0.0, 0
     trace: Optional[List[TraceRow]] = [] if collect_trace else None
-    while not model.is_terminal(s, k):
+    while not is_terminal(s, k):
         if steps >= step_budget:
             return Episode(cost, steps, True, trace)
         a = act(s, k)
-        s2, paid, obs = step_world(model, s, a, g_mask, k_true, rng)
+        pair = sid * width + action_index[a]
+        # the hooks at k_true, cost first, then the table where they do not answer
+        paid = None if cost_hook is None else cost_hook(s, a, k_true)
+        row = None if effects_hook is None else effects_hook(s, a, k_true)
+        row = (rows[pair] or table.row(pair))[0] if row is None else table.checked(row, s, a, k_true)
+        u, acc = draw(), 0.0
+        for sid2, p in row:
+            acc += p
+            if u < acc:
+                break
+        # with no break sid2 is the last outcome, sample_row's rounding
+        # fallback: a checked row holds only p > 0
+        if paid is None and (paid := costs[pair]) is None:
+            paid = table.cost(pair)
+        revealed = reveal[sid2]
         if trace is not None:
+            obs = Observation(yes=revealed & g_mask, no=revealed & ~g_mask)
             trace.append(TraceRow(steps, s, str(k), a, cost, str(obs)))
         cost += paid
-        s, k = s2, apply_observation(k, obs)
+        if revealed & ~(k.yes | k.no):
+            k = k.confirm(yes=revealed & g_mask, no=revealed & ~g_mask)
+        s, sid = states[sid2], sid2
         steps += 1
     cost += model.exit_cost(s)
     if trace is not None:

@@ -17,8 +17,9 @@ is excluded; at least one potential goal is always true.
 Partial observability is confined to the goals, so the base dynamics do not
 depend on the knowledge vector.  Each model therefore keeps one lazily
 filled :class:`BaseTable` (``model.base_table``): the compiler, every
-determinized plan, the distance oracle, the base checks and the world step
-read each base row and cost through it, at most once per model.
+determinized plan, the distance oracle, the base checks, the world step
+and the episode loop read each base row and cost through it, at most once
+per model.
 """
 
 from __future__ import annotations
@@ -700,7 +701,9 @@ def step_world(
     ``g_mask`` (the world knows the truth), the cost hook first; the base
     table's row and cost stand in where they do not answer, and the outcome
     is one draw over the checked row.  The observation, what the agent gets
-    to see, is :func:`observe`'s, from the table's reveal mask."""
+    to see, is :func:`observe`'s, from the table's reveal mask.  This is the
+    public one-step API; ``harness_types.run_episode`` takes the same step
+    inline and builds the observation only for a trace."""
     table = model.base_table
     pair = table.sid[s] * len(table.actions) + table.action_index[a]
     paid = None if model.knowledge_step_cost is None else model.knowledge_step_cost(s, a, k_true)

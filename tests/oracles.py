@@ -14,7 +14,10 @@ import math
 from collections import deque
 from typing import Dict, FrozenSet, List, Tuple
 
-from gussp.model import GusspModel, KnowledgeVector, Observation, Status, bits_of, observe
+from gussp.harness_types import Episode, TraceRow
+from gussp.model import (
+    GusspModel, KnowledgeVector, Observation, Status, apply_observation, bits_of, observe,
+)
 from gussp.rng import sample_row
 
 Belief = Tuple[Tuple[int, float], ...]  # ((config_mask, prob), ...), sorted
@@ -149,6 +152,32 @@ def step_world_reference(model: GusspModel, s, a, g_mask: int, k_true: Knowledge
     rows = model.transition_rows(s, a, k_true)
     s2 = sample_row(list(rows), rng)
     return s2, paid, observe(model, s2, g_mask)
+
+
+def run_episode_reference(model: GusspModel, g_mask: int, rng, act, *, step_budget: int,
+                          collect_trace: bool) -> Episode:
+    """The episode loop as one ``step_world_reference`` call, one
+    ``Observation`` and one ``apply_observation`` fold per step."""
+    s = model.start_state
+    k = model.knowledge_all_unknown()
+    k_true = model.collapsed_knowledge(g_mask)
+    cost = 0.0
+    steps = 0
+    trace = [] if collect_trace else None
+    while not model.is_terminal(s, k):
+        if steps >= step_budget:
+            return Episode(cost, steps, True, trace)
+        a = act(s, k)
+        s2, paid, obs = step_world_reference(model, s, a, g_mask, k_true, rng)
+        if trace is not None:
+            trace.append(TraceRow(steps, s, str(k), a, cost, str(obs)))
+        cost += paid
+        s, k = s2, apply_observation(k, obs)
+        steps += 1
+    cost += model.exit_cost(s)
+    if trace is not None:
+        trace.append(TraceRow(steps, s, str(k), None, cost, "-"))
+    return Episode(cost, steps, False, trace)
 
 
 # -- arborescence reference ---------------------------------------------------

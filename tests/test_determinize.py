@@ -173,12 +173,12 @@ def test_selector_validation(line4_model):
 
 
 def test_cg_without_oracle_raises_before_the_first_step(line4_model, monkeypatch):
-    from gussp import harness_types
+    from gussp import determinize
 
-    def no_step(*args, **kwargs):
-        raise AssertionError("stepped the world")
+    def no_episode(*args, **kwargs):
+        raise AssertionError("started an episode")
 
-    monkeypatch.setattr(harness_types, "step_world", no_step)
+    monkeypatch.setattr(determinize, "run_episode", no_episode)
     cache = PlanCache(line4_model)
     with pytest.raises(ValueError, match="oracle"):
         execute_determinized(line4_model, "cg", 0b01, plan_cache=cache)
