@@ -93,9 +93,7 @@ def test_run_episode_matches_the_reference_when_the_budget_runs_out():
 
 
 def test_run_episode_asks_both_hooks_at_the_true_configuration_on_every_step():
-    _params, model = load_instance(str(INSTANCES / "rover6.txt"))
-    ssp = compile_gussp(model)
-    policy = value_iteration(ssp, reachable=enumerate_reachable(ssp)).policy
+    model, ssp, policy = _solved.__wrapped__("rover6")  # a model of its own to wrap
     calls = []
     for name in ("knowledge_step_cost", "knowledge_effects"):
         def hook(s, a, k, name=name, inner=getattr(model, name)):
