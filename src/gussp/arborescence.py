@@ -36,8 +36,7 @@ class GoalGraph:
 
 def _check_deterministic(model: GusspModel) -> None:
     table = model.base_table
-    for pair in range(len(table.states) * len(table.actions)):
-        row = table.row(pair)[0]
+    for pair, (row, _merged, _mask) in enumerate(table.rows):
         if len(row) != 1:
             s, a = divmod(pair, len(table.actions))
             raise NonDeterministicModel(

@@ -70,9 +70,9 @@ class CompiledSsp:
     order; ``q_rows(i)``, the SSP's one row cache, memoises it, and
     ``successors`` and ``cost`` index it.  The knowledge hooks are asked once
     per (state, action) expansion (``_answers``) and win when they answer;
-    otherwise the row and cost come from the model's base table, which every
-    SSP and plan of the model shares, so a plan on a warm model reads no
-    base row.  Instances are not thread-safe: every solve compiles its own
+    otherwise the row and cost come from the model's base table, read and
+    checked when the model was built and shared by every SSP and plan of
+    the model.  Instances are not thread-safe: every solve compiles its own
     ids and row cache over the model's one table.
     """
 
@@ -227,7 +227,7 @@ class CompiledSsp:
         s, k = self._base[sid], self._kvs[kid]
         answers = self._answers(s, k)
         if answers is None and self.model.terminal_cost is None:
-            union, mask = self.table.union(sid)
+            union, mask = self.table.unions[sid]
             if not mask & self.model.full_mask & ~(k.yes | k.no):
                 here = self._ids[kid]
                 ids = [here[sid2] for sid2 in union]
@@ -255,7 +255,7 @@ class CompiledSsp:
         exit_cost = model.exit_cost if model.terminal_cost is not None else None
         unknown = model.full_mask & ~(k.yes | k.no)
         here, add, table = self._ids[kid], self._add, self.table
-        rows_read, costs_read = table.rows, table.costs  # warm reads skip the method call
+        base_rows, base_costs = table.rows, table.costs
         pair = first = sid * len(self.actions)
         out = []
         for a in self.actions:
@@ -263,7 +263,7 @@ class CompiledSsp:
             if rows is not None:
                 succ = self._fold(kid, unknown, table.checked(rows, s, a, k))
             else:
-                row, merged, mask = rows_read[pair] or table.row(pair)
+                row, merged, mask = base_rows[pair]
                 if mask & unknown:
                     succ = self._fold(kid, unknown, row)
                 else:  # nothing still unknown revealed: the merged row's ids
@@ -273,7 +273,7 @@ class CompiledSsp:
                         succ.append((add(sid2, kid) if j is None else j, p))
                     succ = tuple(succ)
             if c is None:
-                c = costs_read[pair] or table.cost(pair)
+                c = base_costs[pair]
             if exit_cost is not None:
                 for j, p in succ:
                     if goal_flags[j]:
@@ -339,7 +339,7 @@ def _check_base_properness(model: GusspModel) -> DistanceOracle:
     walk = [table.sid[model.start_state]]
     seen = set(walk)
     for sid in walk:  # breadth first: the list grows as the loop reads it
-        for sid2 in table.union(sid)[0]:
+        for sid2 in table.unions[sid][0]:
             if sid2 not in seen:
                 seen.add(sid2)
                 walk.append(sid2)
@@ -431,7 +431,7 @@ def enumerate_reachable(
     row_cost[explicit] = np.frombuffer(cost, dtype=float).reshape(-1, n_actions)
     plain = np.frombuffer(plain, dtype=np.intc)
     if plain.size:
-        b_ptr, b_succ, b_prob, b_cost = ssp.table.csr()
+        b_ptr, b_succ, b_prob, b_cost = ssp.table.csr
         sids, kids = np.array(ssp._sids, dtype=np.intc), np.array(ssp._kids, dtype=np.intc)
         ids_of = np.full((len(ssp._kvs), len(ssp._base)), -1, dtype=np.intc)
         ids_of[kids, sids] = np.arange(len(sids), dtype=np.intc)  # [kid, sid]: compiled id

@@ -21,8 +21,8 @@ Each domain is one entry of ``_DOMAINS``: its name, its parameter
 dataclass and its builder.  The optional scalar keys are the dataclass
 fields whose default is an ``int`` or a ``float``, in field order, read
 with the default's type and written last with ``repr``; a missing key
-takes the default.  A malformed number, an unknown key and a line the
-domain never reads all raise :class:`InvalidInstance`.
+takes the default.  A malformed or non-finite number, an unknown key and
+a line the domain never reads all raise :class:`InvalidInstance`.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import io as _io
+import math
 from typing import Callable, Dict, List, Tuple, Union
 
 from ..errors import InvalidInstance
@@ -66,11 +67,14 @@ def _goal_field(cls) -> str:
 
 def _number(kind: Callable, text: str, what: str):
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
         raise InvalidInstance(
-            f"bad {what} {text!r}, expected {'an int' if kind is int else 'a number'}"
-        ) from None
+            f"bad {what} {text!r}, expected {'an int' if kind is int else 'a finite number'}"
+        )
+    return value
 
 
 def _parse_cell(text: str) -> Cell:

@@ -81,7 +81,7 @@ def run_episode(
         # the hooks at k_true, cost first, then the table where they do not answer
         paid = None if cost_hook is None else cost_hook(s, a, k_true)
         row = None if effects_hook is None else effects_hook(s, a, k_true)
-        row = (rows[pair] or table.row(pair))[0] if row is None else table.checked(row, s, a, k_true)
+        row = rows[pair][0] if row is None else table.checked(row, s, a, k_true)
         u, acc = draw(), 0.0
         for sid2, p in row:
             acc += p
@@ -89,8 +89,8 @@ def run_episode(
                 break
         # with no break sid2 is the last outcome, sample_row's rounding
         # fallback: a checked row holds only p > 0
-        if paid is None and (paid := costs[pair]) is None:
-            paid = table.cost(pair)
+        if paid is None:
+            paid = costs[pair]
         revealed = reveal[sid2]
         if trace is not None:
             obs = Observation(yes=revealed & g_mask, no=revealed & ~g_mask)

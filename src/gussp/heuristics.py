@@ -54,10 +54,9 @@ def build_distance_oracle(model: GusspModel) -> DistanceOracle:
     n_actions = len(table.actions)
     # per sid: each predecessor sid and the cheapest action cost into it
     redges: List[Dict[int, float]] = [{} for _ in table.states]
-    for pair in range(len(redges) * n_actions):
+    for pair, w in enumerate(table.costs):
         sid = pair // n_actions
-        w = table.cost(pair)
-        for sid2, _p in table.row(pair)[1]:
+        for sid2, _p in table.rows[pair][1]:
             if sid2 != sid and w < redges[sid2].get(sid, INF):
                 redges[sid2][sid] = w
 

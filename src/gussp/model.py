@@ -15,23 +15,23 @@ set means ``potential_goals[i]`` is a true goal.  The empty configuration
 is excluded; at least one potential goal is always true.
 
 Partial observability is confined to the goals, so the base dynamics do not
-depend on the knowledge vector.  Each model therefore keeps one lazily
-filled :class:`BaseTable` (``model.base_table``): the compiler, every
-determinized plan, the distance oracle, the base checks, the world step
-and the episode loop read each base row and cost through it, at most once
-per model.
+depend on the knowledge vector.  Each model therefore reads and checks
+every base row and cost once, as it is built, into one :class:`BaseTable`
+(``model.base_table``): the compiler, every determinized plan, the
+distance oracle, the base checks, the world step and the episode loop read
+the base dynamics from it.
 """
 
 from __future__ import annotations
 
 import enum
 import random
-import weakref
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, compress
+from math import inf as INF
 from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
@@ -166,7 +166,8 @@ class GoalPrior:
 
     * ``uniform``: every nonempty subset of the potential goals is equally
       likely.
-    * ``explicit``: arbitrary weights per configuration mask (normalized).
+    * ``explicit``: finite nonnegative weights per configuration mask
+      (normalized).
     * ``bernoulli``: independent per-goal marginals, conditioned on the
       configuration being nonempty.
 
@@ -207,6 +208,8 @@ class GoalPrior:
                 raise InvalidInstance(f"configuration mask {mask} out of range for n={n}")
             if w < 0:
                 raise InvalidInstance("negative configuration weight")
+            if not w < INF:
+                raise InvalidInstance(f"configuration weight {w!r} is not finite")
             if w > 0:
                 probs[mask] = probs.get(mask, 0.0) + float(w)
         total = sum(probs.values())
@@ -346,9 +349,10 @@ class GusspModel:
     ``terminal_cost(s)`` is a one-time nonnegative cost charged when the
     process terminates in ``s``.
 
-    After ``_validate_dynamics``, ``transition`` and ``cost`` are read only
-    through ``base_table``; ``transition_rows`` and ``step_cost`` are the
-    plain, unmemoised reading of the hooks and base dynamics.
+    The constructor reads ``transition`` and ``cost`` once per ``(s, a)``,
+    checking them as it fills ``base_table``, and the library never reads
+    them again; ``transition_rows`` and ``step_cost`` are the plain,
+    unmemoised reading of the hooks and base dynamics.
     """
 
     def __init__(
@@ -374,7 +378,6 @@ class GusspModel:
         base_terminal: Optional[Callable[[State], bool]] = None,
         det_target_done: Optional[Callable[[State, int], bool]] = None,
         allow_zero_costs: bool = False,
-        validate: bool = True,
     ):
         self.base_states: Tuple[State, ...] = tuple(base_states)
         self.actions: Tuple[Action, ...] = tuple(actions)
@@ -400,10 +403,10 @@ class GusspModel:
         if prior.n != self.n_goals:
             raise InvalidInstance("prior size does not match the potential-goal count")
 
-        self._state_set = set(self.base_states)
-        if len(self._state_set) != len(self.base_states):
+        state_set = set(self.base_states)
+        if len(state_set) != len(self.base_states):
             raise InvalidInstance("duplicate base states")
-        if start_state not in self._state_set:
+        if start_state not in state_set:
             raise InvalidInstance("start state is not a base state")
 
         self._goal_index: Dict[Hashable, int] = {
@@ -411,7 +414,7 @@ class GusspModel:
         }
         # goal sites: base states that instantiate each potential-goal index
         if goal_membership is None:
-            missing = [g for g in self.potential_goals if g not in self._state_set]
+            missing = [g for g in self.potential_goals if g not in state_set]
             if missing:
                 raise InvalidInstance(f"potential goals are not base states: {missing!r}")
             self._sites: Tuple[Tuple[State, ...], ...] = tuple(
@@ -438,7 +441,7 @@ class GusspModel:
         # arrival at s reveals its own membership plus a landmark's vicinity
         self._reveal: Dict[State, int] = {s: 1 << i for s, i in self._membership.items()}
         for s, vicinity in (landmarks or {}).items():
-            if s not in self._state_set:
+            if s not in state_set:
                 raise InvalidInstance(f"landmark {s!r} is not a base state")
             mask = 0
             for g in vicinity:
@@ -458,8 +461,7 @@ class GusspModel:
                 "potential goals and landmarks"
             )
 
-        if validate:
-            self._validate_dynamics()
+        self.base_table = BaseTable(self)
 
     # -- structure ---------------------------------------------------------
 
@@ -480,11 +482,6 @@ class GusspModel:
                 raise InvalidInstance(f"{g!r} is not a potential goal")
             mask |= 1 << idx
         return mask
-
-    @cached_property
-    def base_table(self) -> "BaseTable":
-        """The model's one :class:`BaseTable`, made on first use."""
-        return BaseTable(self)
 
     def knowledge_all_unknown(self) -> KnowledgeVector:
         return KnowledgeVector.all_unknown(self.n_goals)
@@ -530,73 +527,78 @@ class GusspModel:
     def sample_config(self, rng: random.Random) -> int:
         return self.prior.config_at(rng.random())
 
-    # -- validation --------------------------------------------------------
+Row = Tuple[Tuple[int, float], ...]
 
-    def _validate_dynamics(self) -> None:
-        for s in self.base_states:
-            terminal = bool(self.base_terminal and self.base_terminal(s))
-            for a in self.actions:
-                rows = self.transition(s, a)
-                total = 0.0
-                for s2, p in rows:
+
+class BaseTable:
+    """The base dynamics of one model, read and checked once, as the model
+    is built.
+
+    ``sid`` numbers the base states in ``model.base_states`` order, and a
+    ``pair`` is ``sid * len(actions)`` plus the action's position.  The
+    constructor reads ``model.transition(s, a)`` and then ``model.cost(s,
+    a)`` once per pair, in pair order, and raises :class:`ModelError` at
+    the first row or cost the model does not allow.  It keeps per pair in
+    ``rows`` the checked row (``p > 0`` outcomes as ``(sid, p)``, in
+    ``transition`` order), the row merged by successor in first-seen order
+    and the OR of its successors' reveal masks, and in ``costs`` the cost;
+    per ``sid``, ``unions`` holds its distinct successors over all actions,
+    in first-seen order, and their reveal-mask OR."""
+
+    def __init__(self, model: GusspModel):
+        self.states, self.actions = states, actions = model.base_states, model.actions
+        self.action_index = {a: n for n, a in enumerate(actions)}
+        self.sid = sid = {s: n for n, s in enumerate(states)}
+        self.reveal = reveal = [model.reveal_indices(s) for s in states]
+        self.rows: List[Tuple[Row, Row, int]] = []
+        self.costs: List[float] = []
+        self.unions: List[Tuple[Tuple[int, ...], int]] = []
+        transition, cost, base_terminal = model.transition, model.cost, model.base_terminal
+        for s in states:
+            terminal = bool(base_terminal and base_terminal(s))
+            union, union_mask = {}, 0  # union: only its keys, in first-seen order, are kept
+            for a in actions:
+                raw = transition(s, a)
+                row, merged, total, mask = [], {}, 0.0, 0
+                for s2, p in raw:
                     if p < -PROB_TOL:
                         raise ModelError(f"negative probability in row ({s!r}, {a!r})")
-                    if s2 not in self._state_set:
+                    sid2 = sid.get(s2)
+                    if sid2 is None:
                         raise ModelError(f"transition target {s2!r} is not a base state")
                     total += p
-                if abs(total - 1.0) > PROB_TOL:
-                    raise ModelError(
-                        f"row ({s!r}, {a!r}) sums to {total!r}, expected 1"
-                    )
-                c = self.cost(s, a)
+                    if p > 0.0:
+                        row.append((sid2, p))
+                        merged[sid2] = merged.get(sid2, 0.0) + p
+                        mask |= reveal[sid2]
+                if not abs(total - 1.0) <= PROB_TOL:  # a NaN fails it too
+                    raise ModelError(f"row ({s!r}, {a!r}) sums to {total!r}, expected 1")
+                c = cost(s, a)
                 if c < 0:
                     raise ModelError(f"negative cost at ({s!r}, {a!r})")
+                if not c < INF:
+                    raise ModelError(f"cost {c!r} at ({s!r}, {a!r}) is not finite")
                 if terminal:
-                    if c != 0 or rows[0][0] != s or len(rows) != 1:
-                        raise ModelError(
-                            f"terminal base state {s!r} must self-loop at zero cost"
-                        )
-                elif c == 0 and not self.allow_zero_costs:
+                    if c != 0 or raw[0][0] != s or len(raw) != 1:
+                        raise ModelError(f"terminal base state {s!r} must self-loop at zero cost")
+                elif c == 0 and not model.allow_zero_costs:
                     raise ModelError(
                         f"zero cost at nonterminal ({s!r}, {a!r}); "
                         "set allow_zero_costs only when termination is structural"
                     )
+                row = tuple(row)
+                # without repeated successors the merged row is the row itself
+                merged = row if len(merged) == len(row) else tuple(merged.items())
+                self.rows.append((row, merged, mask))
+                self.costs.append(c)
+                union.update(merged)
+                union_mask |= mask
+            self.unions.append((tuple(union), union_mask))
 
-
-Row = Tuple[Tuple[int, float], ...]
-
-
-def _where(s: State, k: Optional[KnowledgeVector]) -> str:
-    return repr(s) if k is None else f"({s!r}, {k})"
-
-
-class BaseTable:
-    """The base dynamics of one model, each row and cost read at most once.
-
-    ``sid`` numbers the base states in ``model.base_states`` order, and a
-    ``pair`` is ``sid * len(actions)`` plus the action's position.  On first
-    request ``row(pair)`` reads ``model.transition(s, a)`` and keeps in
-    ``rows`` the checked row (``p > 0`` outcomes as ``(sid, p)``, in
-    ``transition`` order), the row merged by successor in first-seen order
-    and the OR of its successors' reveal masks; ``cost(pair)`` keeps
-    ``model.cost(s, a)`` in ``costs``.  Both look the function up on the
-    model as they read, so a wrapper put on it later sees every read."""
-
-    def __init__(self, model: GusspModel):
-        self.model = weakref.proxy(model)  # no cycle: a dropped model frees at once
-        self.states, self.actions = model.base_states, model.actions
-        self.action_index = {a: n for n, a in enumerate(self.actions)}
-        self.sid = {s: sid for sid, s in enumerate(self.states)}
-        self.reveal = [model.reveal_indices(s) for s in self.states]
-        self.costs: List[Optional[float]] = [None] * len(self.states) * len(self.actions)
-        self.rows: List[Optional[Tuple[Row, Row, int]]] = [None] * len(self.costs)
-        self._unions: List[Optional[Tuple[Tuple[int, ...], int]]] = [None] * len(self.states)
-        self._reads, self._csr = 0, None  # csr() is rebuilt after new reads
-
-    def checked(self, rows, s: State, a: Action, k: Optional[KnowledgeVector] = None) -> Row:
-        """The ``p > 0`` outcomes of ``rows`` at ``(s, a)`` as ``(sid, p)``;
-        :class:`ModelError` if one is not a base state or they do not sum
-        to 1.  ``k`` is given for a hook's row, to name where it came from."""
+    def checked(self, rows, s: State, a: Action, k: KnowledgeVector) -> Row:
+        """The ``p > 0`` outcomes of a hook's ``rows`` at ``(s, a, k)`` as
+        ``(sid, p)``; :class:`ModelError` if one is not a base state or they
+        do not sum to 1."""
         sid, out, total = self.sid, [], 0.0
         for s2, p in rows:
             if p > 0.0:
@@ -604,69 +606,27 @@ class BaseTable:
                 sid2 = sid.get(s2)
                 if sid2 is None:
                     raise ModelError(
-                        f"successor {s2!r} of {_where(s, k)} / {a!r} is not a base state"
+                        f"successor {s2!r} of ({s!r}, {k}) / {a!r} is not a base state"
                     )
                 out.append((sid2, p))
         if abs(total - 1.0) > PROB_TOL:
             raise ModelError(
-                f"dynamics row for {_where(s, k)} / {a!r} sums to {total!r}, expected 1"
+                f"dynamics row for ({s!r}, {k}) / {a!r} sums to {total!r}, expected 1"
             )
         return tuple(out)
 
-    def row(self, pair: int) -> Tuple[Row, Row, int]:
-        """``(checked row, merged row, reveal-mask OR)`` of ``pair``."""
-        memo = self.rows[pair]
-        if memo is None:
-            s, a = self.states[pair // len(self.actions)], self.actions[pair % len(self.actions)]
-            row = self.checked(self.model.transition(s, a), s, a)
-            acc: Dict[int, float] = {}
-            mask = 0
-            for sid2, p in row:
-                acc[sid2] = acc.get(sid2, 0.0) + p
-                mask |= self.reveal[sid2]
-            # without repeated successors the merged row is the row itself
-            merged = row if len(acc) == len(row) else tuple(acc.items())
-            memo = self.rows[pair] = (row, merged, mask)
-            self._reads += 1
-        return memo
-
-    def cost(self, pair: int) -> float:
-        c = self.costs[pair]
-        if c is None:
-            s, a = self.states[pair // len(self.actions)], self.actions[pair % len(self.actions)]
-            c = self.costs[pair] = self.model.cost(s, a)
-            self._reads += 1
-        return c
-
-    def union(self, sid: int) -> Tuple[Tuple[int, ...], int]:
-        """``sid``'s distinct successors over all actions, in first-seen
-        order, and their reveal-mask OR; reads every action's row and cost."""
-        union = self._unions[sid]
-        if union is None:
-            seen: Dict[int, None] = {}
-            mask = 0
-            for pair in range(sid * len(self.actions), (sid + 1) * len(self.actions)):
-                self.cost(pair)
-                _row, merged, m = self.row(pair)
-                seen.update(dict.fromkeys(sid2 for sid2, _p in merged))
-                mask |= m
-            union = self._unions[sid] = (tuple(seen), mask)
-        return union
-
+    @cached_property
     def csr(self):
-        """The merged rows read so far, over the pairs: ``indptr``, ``succ``
-        and ``prob`` (empty where unread), and ``cost`` (NaN where unread)."""
-        if self._csr is None or self._csr[0] != self._reads:
-            import numpy as np
+        """The merged rows over the pairs as ``indptr``, ``succ`` and
+        ``prob``, and the costs as ``cost``: numpy arrays made on first use."""
+        import numpy as np
 
-            merged = [() if memo is None else memo[1] for memo in self.rows]
-            indptr = np.zeros(len(merged) + 1, dtype=np.intc)
-            np.cumsum([len(m) for m in merged], out=indptr[1:])
-            succ = np.array([sid2 for m in merged for sid2, _p in m], dtype=np.intc)
-            prob = np.array([p for m in merged for _sid2, p in m], dtype=float)
-            cost = np.array([np.nan if c is None else c for c in self.costs])
-            self._csr = self._reads, (indptr, succ, prob, cost)
-        return self._csr[1]
+        merged = [memo[1] for memo in self.rows]
+        indptr = np.zeros(len(merged) + 1, dtype=np.intc)
+        np.cumsum([len(m) for m in merged], out=indptr[1:])
+        succ = np.array([sid2 for m in merged for sid2, _p in m], dtype=np.intc)
+        prob = np.array([p for m in merged for _sid2, p in m], dtype=float)
+        return indptr, succ, prob, np.array(self.costs, dtype=float)
 
 
 def observe(model: GusspModel, s_arrived: State, g_true) -> Observation:
@@ -699,8 +659,9 @@ def step_world(
 
     The hooks are asked at ``k_true``, the collapsed knowledge vector of
     ``g_mask`` (the world knows the truth), the cost hook first; the base
-    table's row and cost stand in where they do not answer, and the outcome
-    is one draw over the checked row.  The observation, what the agent gets
+    table's row and cost, checked when the model was built, stand in where
+    they do not answer, a hook's row is checked here, and the outcome is
+    one draw over the checked row.  The observation, what the agent gets
     to see, is :func:`observe`'s, from the table's reveal mask.  This is the
     public one-step API; ``harness_types.run_episode`` takes the same step
     inline and builds the observation only for a trace."""
@@ -708,7 +669,7 @@ def step_world(
     pair = table.sid[s] * len(table.actions) + table.action_index[a]
     paid = None if model.knowledge_step_cost is None else model.knowledge_step_cost(s, a, k_true)
     rows = None if model.knowledge_effects is None else model.knowledge_effects(s, a, k_true)
-    sid2 = sample_row(table.row(pair)[0] if rows is None else table.checked(rows, s, a, k_true), rng)
+    sid2 = sample_row(table.rows[pair][0] if rows is None else table.checked(rows, s, a, k_true), rng)
     revealed = table.reveal[sid2]
     obs = Observation(yes=revealed & g_mask, no=revealed & ~g_mask)
-    return table.states[sid2], table.cost(pair) if paid is None else paid, obs
+    return table.states[sid2], table.costs[pair] if paid is None else paid, obs

@@ -53,15 +53,15 @@ def test_world_step_matches_the_model_reading(name):
 
 
 def test_world_step_checks_the_base_row():
-    model = GusspModel(
-        base_states=[0, 1],
-        actions=("go",),
-        transition=lambda s, a: ((1, 0.5),),
-        cost=lambda s, a: 1.0,
-        start_state=0,
-        potential_goals=(1,),
-        prior=GoalPrior.uniform(1),
-        validate=False,
-    )
-    with pytest.raises(ModelError, match=r"dynamics row for 0 / 'go' sums to 0.5"):
-        step_world(model, 0, "go", 1, model.collapsed_knowledge(1), random.Random(0))
+    """The base rows the world step draws from are checked once, as the
+    model is built: a row that does not sum to 1 stops the build."""
+    with pytest.raises(ModelError, match=r"row \(0, 'go'\) sums to 0.5"):
+        GusspModel(
+            base_states=[0, 1],
+            actions=("go",),
+            transition=lambda s, a: ((1, 0.5),),
+            cost=lambda s, a: 1.0,
+            start_state=0,
+            potential_goals=(1,),
+            prior=GoalPrior.uniform(1),
+        )

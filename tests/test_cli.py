@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from gussp.cli import main
+from gussp.domains import parse_instance
+from gussp.errors import InvalidInstance
 from gussp.harness import ALGORITHMS, REPORT_FIELDS
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
@@ -96,6 +98,7 @@ def test_missing_instance_exits_2(tmp_path, capsys):
 
 
 LINE4_TEXT = Path(LINE4).read_text()
+EV8_TEXT = (INSTANCE_DIR / "ev8.txt").read_text()
 
 
 def test_malformed_instance_exits_2(tmp_path, capsys):
@@ -112,13 +115,22 @@ def test_malformed_instance_exits_2(tmp_path, capsys):
     LINE4_TEXT.replace("prior: uniform", "prior: bernoulli 0.5 zz"),
     LINE4_TEXT.replace("prior: uniform", "prior:"),
     "domain: ev\ntime: x = 1\nprices: 1.0\n",
+    LINE4_TEXT.replace("prior: uniform", "prior: explicit\nconfig: 2,0 = nan\nconfig: 3,0 = 1"),
+    LINE4_TEXT.replace("prior: uniform", "prior: explicit\nconfig: 2,0 = inf\nconfig: 3,0 = 1"),
+    EV8_TEXT.replace("prices: 1.07 0.63", "prices: 1.07 nan"),
+    EV8_TEXT.replace("penalty: 12.0", "penalty: nan"),
+    LINE4_TEXT.replace("step_cost: 1.0", "step_cost: inf"),
 ], ids=["width-abc", "width-4.5", "move-success-fast",
-        "bernoulli-zz", "empty-prior", "ev-time-x"])
+        "bernoulli-zz", "empty-prior", "ev-time-x",
+        "config-nan", "config-inf", "price-nan", "penalty-nan", "step-cost-inf"])
 def test_malformed_instance_field_exits_2(tmp_path, capsys, text):
     bad = tmp_path / "bad.txt"
     bad.write_text(text)
     assert run_cli("plan", str(bad)) == 2
     assert "bad instance" in capsys.readouterr().err
+    # the field is refused as it is read, not by a later symptom of it
+    with pytest.raises(InvalidInstance):
+        parse_instance(text)
 
 
 @pytest.mark.parametrize("argv", [

@@ -188,7 +188,6 @@ def test_exact_properness_check():
         start_state=0,
         potential_goals=(1,),
         prior=GoalPrior.uniform(1),
-        validate=True,
     )
     ssp = CompiledSsp(model)
     with pytest.raises(ImproperModel):
@@ -446,6 +445,27 @@ def count_calls(model):
     return calls
 
 
+def count_base_reads(monkeypatch):
+    """Wrap the base dynamics of every model built from here on, before its
+    constructor sees them, so each read is counted, keyed on ``(s, a)``."""
+    calls = {"transition": Counter(), "cost": Counter()}
+    init = GusspModel.__init__
+
+    def counted_init(self, *, transition, cost, **kwargs):
+        def counted_transition(s, a):
+            calls["transition"][(s, a)] += 1
+            return transition(s, a)
+
+        def counted_cost(s, a):
+            calls["cost"][(s, a)] += 1
+            return cost(s, a)
+
+        init(self, transition=counted_transition, cost=counted_cost, **kwargs)
+
+    monkeypatch.setattr(GusspModel, "__init__", counted_init)
+    return calls
+
+
 def lazy_walk(ssp):
     """``q_rows`` on every state of ``ssp``, in id order, as it grows."""
     i = 0
@@ -457,10 +477,11 @@ def lazy_walk(ssp):
 @pytest.mark.parametrize("path", ["eager", "lazy"])
 def test_hook_contract(path):
     """The knowledge hooks run once per (non-goal state, action) expansion;
-    the base dynamics and cost are read at most once per (s, a)."""
+    the base dynamics and cost, read as the model was built, are not read
+    again."""
     _params, model = load_instance(str(INSTANCES / "rover6.txt"))
-    ssp = compile_gussp(model)
     calls = count_calls(model)
+    ssp = compile_gussp(model)
     if path == "eager":
         enumerate_reachable(ssp)
     else:
@@ -474,42 +495,48 @@ def test_hook_contract(path):
     assert len(ssp) == 855
     assert calls["knowledge_effects"] == expanded
     assert calls["knowledge_step_cost"] == expanded
-    for name in ("transition", "cost"):
-        assert calls[name] and max(calls[name].values()) == 1, name
+    assert calls["transition"] == calls["cost"] == Counter()
 
 
 @pytest.mark.parametrize("name", ["rover6", "grid8_landmark"])
-def test_each_base_row_is_read_once_per_model(name):
-    """Two fresh compiled SSPs, plans for three targets and 30 det-mlg
-    trials share the model's base table: no base row or cost is read
-    twice."""
+def test_each_base_row_is_read_once_per_model(monkeypatch, name):
+    """Counted from the model's construction on, through two fresh compiled
+    SSPs, plans for three targets and 30 det-mlg trials: every base row and
+    cost is read exactly once."""
+    calls = count_base_reads(monkeypatch)
     _params, model = load_instance(str(INSTANCES / f"{name}.txt"))
-    calls = count_calls(model)
     for _ in range(2):
         enumerate_reachable(compile_gussp(model))
     cache = PlanCache(model)
     for target in range(3):
         cache.plan_for(target, model.knowledge_all_unknown())
     run_cell(model, CellSpec(name=name, algorithm="det-mlg", trials=30))
-    for kind in ("transition", "cost"):
-        assert calls[kind] and max(calls[kind].values()) == 1, kind
+    once = Counter({(s, a): 1 for s in model.base_states for a in model.actions})
+    assert calls["transition"] == calls["cost"] == once
 
 
 def test_answered_hook_skips_the_base_row():
-    """A hook that always answers at (1, jump) wins there, so the base row
-    of (1, jump) is never read, on either path."""
+    """A hook that always answers at (1, jump) wins there: on either path
+    every compiled jump from base state 1 goes to base state 2, where the
+    base row stays put."""
 
     def effects(s, a, k):
         return ((2, 1.0),) if (s, a) == (1, "jump") else None
 
-    for walk in (enumerate_reachable, lazy_walk):
+    for path in ("eager", "lazy"):
         model = jump_model(effects=effects)
         ssp = compile_gussp(model)
         calls = count_calls(model)
-        walk(ssp)
+        jump = ssp.actions.index("jump")
+        if path == "eager":
+            m = enumerate_reachable(ssp).transitions
+            jumps = lambda i: m[i * len(ssp.actions) + jump].indices.tolist()
+        else:
+            lazy_walk(ssp)
+            jumps = lambda i: [j for j, _p in ssp.q_rows(i)[jump][2]]
         assert calls["knowledge_effects"][(1, "jump", KnowledgeVector(2, no=0b10))] == 1
-        assert (1, "fwd") in calls["transition"]
-        assert (1, "jump") not in calls["transition"]
+        at_1 = [i for i in range(len(ssp)) if ssp.state(i).s == 1]
+        assert at_1 and all({ssp.state(j).s for j in jumps(i)} == {2} for i in at_1), path
 
 
 def test_step_cost_hook_alone_keeps_the_base_row():

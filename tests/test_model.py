@@ -116,6 +116,11 @@ class TestGoalPrior:
         with pytest.raises(InvalidInstance):
             GoalPrior.explicit(2, {0b01: 0.0})
 
+    def test_explicit_rejects_non_finite_weights(self):
+        for w in (math.nan, math.inf):
+            with pytest.raises(InvalidInstance, match="is not finite"):
+                GoalPrior.explicit(2, {0b01: w, 0b10: 1.0})
+
     def test_bernoulli_conditions_on_nonempty(self):
         prior = GoalPrior.bernoulli([0.5, 0.5])
         probs = prior.config_probs()
@@ -235,6 +240,15 @@ class TestModelValidation:
     def test_negative_cost_checked(self):
         with pytest.raises(ModelError):
             tiny_model(cost=lambda s, a: -1.0)
+
+    def test_non_finite_cost_checked(self):
+        for c in (math.nan, math.inf):
+            with pytest.raises(ModelError, match="is not finite"):
+                tiny_model(cost=lambda s, a, c=c: c)
+
+    def test_nan_probability_checked(self):
+        with pytest.raises(ModelError, match="sums to nan"):
+            tiny_model(transition=lambda s, a: ((s, 1.0), (min(s + 1, 2), math.nan)))
 
     def test_zero_cost_needs_optin(self):
         with pytest.raises(ModelError):

@@ -227,5 +227,4 @@ def star_model(prior):
         start_state="hub",
         potential_goals=goals,
         prior=prior,
-        validate=False,
     )
