@@ -425,6 +425,26 @@ def test_repeated_revealing_outcomes_fold_one_by_one():
     assert row[0][1] != (0.05 + 0.7) * q_no
 
 
+def test_repeated_plain_outcomes_merge_in_first_seen_order():
+    """A base row that reaches state 1 twice and reveals nothing compiles to
+    one entry per successor, in first-seen order, with the repeats summed,
+    on the lazy path and in the eager gather alike."""
+    model = GusspModel(
+        base_states=[0, 1, 2],
+        actions=("go",),
+        transition=lambda s, a: ((1, 0.25), (0, 0.5), (1, 0.25)) if s == 0 else ((2, 1.0),),
+        cost=lambda s, a: 1.0,
+        start_state=0,
+        potential_goals=(2,),
+        prior=GoalPrior.uniform(1),
+    )
+    ssp = compile_gussp(model)
+    reach = enumerate_reachable(ssp)
+    row = [(ssp.state(j).s, p) for j, p in ssp.successors(ssp.start_id, "go")]
+    assert row == [(1, 0.5), (0, 0.5)]
+    assert_rows_match_lazy(ssp, reach)
+
+
 HOOKS = ("knowledge_effects", "knowledge_step_cost", "transition", "cost")
 
 
