@@ -64,6 +64,7 @@ from .model import (
     step_world,
 )
 from .solvers import (
+    Solution,
     ValueTable,
     bellman_backup,
     flares,

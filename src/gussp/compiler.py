@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, TextIO, Tuple
 
 from .errors import ImproperModel, ModelError, StateBudgetExceeded
 from .heuristics import INF, DistanceOracle, build_distance_oracle
-from .model import Action, GusspModel, KnowledgeVector, Row, State, submasks
+from .model import Action, GusspModel, KnowledgeVector, Row, State, checked_cost, submasks
 
 if TYPE_CHECKING:
     import numpy as np
@@ -272,8 +272,7 @@ class CompiledSsp:
                         j = here[sid2]
                         succ.append((add(sid2, kid) if j is None else j, p))
                     succ = tuple(succ)
-            if c is None:
-                c = base_costs[pair]
+            c = base_costs[pair] if c is None else checked_cost(c, s, a, k)
             if exit_cost is not None:
                 for j, p in succ:
                     if goal_flags[j]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
-from .model import Action, GusspModel, KnowledgeVector, Observation, State
+from .model import Action, GusspModel, KnowledgeVector, Observation, State, checked_cost
 
 
 @dataclass(frozen=True)
@@ -89,8 +89,7 @@ def run_episode(
                 break
         # with no break sid2 is the last outcome, sample_row's rounding
         # fallback: a checked row holds only p > 0
-        if paid is None:
-            paid = costs[pair]
+        paid = costs[pair] if paid is None else checked_cost(paid, s, a, k_true)
         revealed = reveal[sid2]
         if trace is not None:
             obs = Observation(yes=revealed & g_mask, no=revealed & ~g_mask)

@@ -347,7 +347,10 @@ class GusspModel:
     configuration.  ``terminal_test(s, k)`` overrides the default
     termination rule (standing on a potential goal confirmed true).
     ``terminal_cost(s)`` is a one-time nonnegative cost charged when the
-    process terminates in ``s``.
+    process terminates in ``s``.  A hook's row gets the base rows' checks
+    and a hook's cost the base costs' (``0 <= c < inf``) wherever it is
+    read; ``terminal_cost`` is checked at every base state as the model is
+    built.
 
     The constructor reads ``transition`` and ``cost`` once per ``(s, a)``,
     checking them as it fills ``base_table``, and the library never reads
@@ -530,13 +533,32 @@ class GusspModel:
 Row = Tuple[Tuple[int, float], ...]
 
 
+def _where(s: State, a: Action, k: Optional[KnowledgeVector]) -> str:
+    return f"({s!r}, {a!r})" if k is None else f"({s!r}, {k}) / {a!r}"
+
+
+def checked_cost(
+    c: float, s: State, a: Optional[Action] = None, k: Optional[KnowledgeVector] = None
+) -> float:
+    """``c`` if ``0 <= c < inf``, else :class:`ModelError`: the cost of
+    ``(s, a)``, a hook's answer there with ``k``, or without ``a`` the
+    terminal cost at ``s``."""
+    if 0.0 <= c < INF:
+        return c
+    where = f"terminal state {s!r}" if a is None else _where(s, a, k)
+    raise ModelError(
+        f"negative cost at {where}" if c < 0 else f"cost {c!r} at {where} is not finite"
+    )
+
+
 class BaseTable:
     """The base dynamics of one model, read and checked once, as the model
     is built.
 
     ``sid`` numbers the base states in ``model.base_states`` order, and a
     ``pair`` is ``sid * len(actions)`` plus the action's position.  The
-    constructor reads ``model.transition(s, a)`` and then ``model.cost(s,
+    constructor reads each base state's ``model.terminal_cost(s)``, if the
+    model has one, and then ``model.transition(s, a)`` and ``model.cost(s,
     a)`` once per pair, in pair order, and raises :class:`ModelError` at
     the first row or cost the model does not allow.  It keeps per pair in
     ``rows`` the checked row (``p > 0`` outcomes as ``(sid, p)``, in
@@ -548,36 +570,25 @@ class BaseTable:
     def __init__(self, model: GusspModel):
         self.states, self.actions = states, actions = model.base_states, model.actions
         self.action_index = {a: n for n, a in enumerate(actions)}
-        self.sid = sid = {s: n for n, s in enumerate(states)}
+        self.sid = {s: n for n, s in enumerate(states)}
         self.reveal = reveal = [model.reveal_indices(s) for s in states]
         self.rows: List[Tuple[Row, Row, int]] = []
         self.costs: List[float] = []
         self.unions: List[Tuple[Tuple[int, ...], int]] = []
         transition, cost, base_terminal = model.transition, model.cost, model.base_terminal
+        checked, exit_cost = self.checked, model.terminal_cost
         for s in states:
             terminal = bool(base_terminal and base_terminal(s))
+            if exit_cost is not None:
+                checked_cost(exit_cost(s), s)
             union, union_mask = {}, 0  # union: only its keys, in first-seen order, are kept
             for a in actions:
                 raw = transition(s, a)
-                row, merged, total, mask = [], {}, 0.0, 0
-                for s2, p in raw:
-                    if p < -PROB_TOL:
-                        raise ModelError(f"negative probability in row ({s!r}, {a!r})")
-                    sid2 = sid.get(s2)
-                    if sid2 is None:
-                        raise ModelError(f"transition target {s2!r} is not a base state")
-                    total += p
-                    if p > 0.0:
-                        row.append((sid2, p))
-                        merged[sid2] = merged.get(sid2, 0.0) + p
-                        mask |= reveal[sid2]
-                if not abs(total - 1.0) <= PROB_TOL:  # a NaN fails it too
-                    raise ModelError(f"row ({s!r}, {a!r}) sums to {total!r}, expected 1")
-                c = cost(s, a)
-                if c < 0:
-                    raise ModelError(f"negative cost at ({s!r}, {a!r})")
-                if not c < INF:
-                    raise ModelError(f"cost {c!r} at ({s!r}, {a!r}) is not finite")
+                row, merged, mask = checked(raw, s, a), {}, 0
+                for sid2, p in row:
+                    merged[sid2] = merged.get(sid2, 0.0) + p
+                    mask |= reveal[sid2]
+                c = checked_cost(cost(s, a), s, a)
                 if terminal:
                     if c != 0 or raw[0][0] != s or len(raw) != 1:
                         raise ModelError(f"terminal base state {s!r} must self-loop at zero cost")
@@ -586,7 +597,6 @@ class BaseTable:
                         f"zero cost at nonterminal ({s!r}, {a!r}); "
                         "set allow_zero_costs only when termination is structural"
                     )
-                row = tuple(row)
                 # without repeated successors the merged row is the row itself
                 merged = row if len(merged) == len(row) else tuple(merged.items())
                 self.rows.append((row, merged, mask))
@@ -595,24 +605,23 @@ class BaseTable:
                 union_mask |= mask
             self.unions.append((tuple(union), union_mask))
 
-    def checked(self, rows, s: State, a: Action, k: KnowledgeVector) -> Row:
-        """The ``p > 0`` outcomes of a hook's ``rows`` at ``(s, a, k)`` as
-        ``(sid, p)``; :class:`ModelError` if one is not a base state or they
-        do not sum to 1."""
+    def checked(self, rows, s: State, a: Action, k: Optional[KnowledgeVector] = None) -> Row:
+        """The ``p > 0`` outcomes of ``rows`` as ``(sid, p)``, in order:
+        the base row of ``(s, a)``, or with ``k`` a hook's answer there.
+        :class:`ModelError` if a successor is not a base state, a
+        probability is negative or they do not sum to 1."""
         sid, out, total = self.sid, [], 0.0
         for s2, p in rows:
+            if p < -PROB_TOL:
+                raise ModelError(f"negative probability in row {_where(s, a, k)}")
+            sid2 = sid.get(s2)
+            if sid2 is None:
+                raise ModelError(f"successor {s2!r} of {_where(s, a, k)} is not a base state")
+            total += p
             if p > 0.0:
-                total += p
-                sid2 = sid.get(s2)
-                if sid2 is None:
-                    raise ModelError(
-                        f"successor {s2!r} of ({s!r}, {k}) / {a!r} is not a base state"
-                    )
                 out.append((sid2, p))
-        if abs(total - 1.0) > PROB_TOL:
-            raise ModelError(
-                f"dynamics row for ({s!r}, {k}) / {a!r} sums to {total!r}, expected 1"
-            )
+        if not abs(total - 1.0) <= PROB_TOL:  # a NaN fails it too
+            raise ModelError(f"row {_where(s, a, k)} sums to {total!r}, expected 1")
         return tuple(out)
 
     @cached_property
@@ -672,4 +681,5 @@ def step_world(
     sid2 = sample_row(table.rows[pair][0] if rows is None else table.checked(rows, s, a, k_true), rng)
     revealed = table.reveal[sid2]
     obs = Observation(yes=revealed & g_mask, no=revealed & ~g_mask)
-    return table.states[sid2], table.costs[pair] if paid is None else paid, obs
+    paid = table.costs[pair] if paid is None else checked_cost(paid, s, a, k_true)
+    return table.states[sid2], paid, obs

@@ -3,9 +3,14 @@
 All solvers share the same conventions: values live in a :class:`ValueTable`
 keyed by compiled-state id, goal states are pinned at zero, and ties between
 equal-valued actions always resolve to the action earliest in the model's
-action order.  Every solver takes a :class:`~gussp.compiler.CompiledSsp`,
-the compiled problem or a determinization's single-target plan, and reads
-its ``start_id``, ``actions``, ``state(i)``, the ``goal_flags`` list and
+action order.  Each returns one :class:`Solution`: the table, the greedy
+``policy`` (state id to action) of the states it settled, and its count,
+``sweeps`` for value iteration, ``expanded`` for LAO* and ``trials`` for
+FLARES.
+
+Every solver takes a :class:`~gussp.compiler.CompiledSsp`, the compiled
+problem or a determinization's single-target plan, and reads its
+``start_id``, ``actions``, ``state(i)``, the ``goal_flags`` list and
 ``q_rows(i)``, the memoised ``expand(i)`` with one ``(action, cost,
 successor row)`` per action in action order, or its ``successors(i, a)``
 view.  Value iteration reads the same rows from
@@ -26,6 +31,9 @@ from .rng import derive_seed, sample_row
 
 Heuristic = Callable[[int], float]
 
+LAO_MAX_ROUNDS = 1_000_000  # LAO*'s rounds, and the sweeps of one envelope's convergence
+FLARES_MAX_TRIAL_STEPS = 10_000
+
 
 @dataclass
 class ValueTable:
@@ -33,9 +41,7 @@ class ValueTable:
 
     default: Optional[Heuristic] = None
     values: Dict[int, float] = field(default_factory=dict)
-    greedy: Dict[int, Action] = field(default_factory=dict)
-    expanded: Set[int] = field(default_factory=set)
-    depth_solved: Set[int] = field(default_factory=set)
+    depth_solved: Set[int] = field(default_factory=set)  # FLARES' solved labels
 
     def value(self, i: int) -> float:
         v = self.values.get(i)
@@ -72,19 +78,17 @@ def bellman_backup(ssp, table: ValueTable, i: int) -> Tuple[float, Optional[Acti
     return best, best_a, abs(best - table.value(i))
 
 
-def _apply_backup(ssp, table: ValueTable, i: int) -> float:
-    v, a, res = bellman_backup(ssp, table, i)
-    table.values[i] = v
-    if a is not None:
-        table.greedy[i] = a
-    return res
-
-
 @dataclass
-class VIResult:
+class Solution:
+    """What a solver produced: its values, the greedy action of each
+    non-goal state it settled, and the count it reports."""
+
     table: ValueTable
     policy: Dict[int, Action]
-    sweeps: int
+    sweeps: int = 0  # value iteration
+    expanded: int = 0  # LAO*
+    trials: int = 0  # FLARES
+    exhausted: bool = False  # FLARES' trial budget ran out before the start was labeled
 
 
 def value_iteration(
@@ -94,7 +98,7 @@ def value_iteration(
     max_sweeps: int = 100_000,
     reachable: Optional[Reachable] = None,
     on_sweep: Optional[Callable[[int, float, object], None]] = None,
-) -> VIResult:
+) -> Solution:
     """Synchronous value iteration over the enumerated reachable set.
 
     Sweeps are Jacobi-style from zero, so the value of every state is
@@ -111,15 +115,13 @@ def value_iteration(
     best = _greedy_rows(reachable, v)
 
     # row i of the arrays is compiled state i
-    table = ValueTable(values=dict(enumerate(v.tolist())))
     actions = ssp.actions
     policy = {
         i: actions[b]
         for i, (b, g) in enumerate(zip(best.tolist(), reachable.goal.tolist()))
         if not g
     }
-    table.greedy = policy
-    return VIResult(table=table, policy=policy, sweeps=sweeps)
+    return Solution(ValueTable(values=dict(enumerate(v.tolist()))), policy, sweeps=sweeps)
 
 
 def _vi_sweeps(reachable: Reachable, epsilon, max_sweeps, on_sweep):
@@ -172,43 +174,27 @@ def _greedy_rows(reachable: Reachable, v):
     return q.reshape(len(v), -1).argmin(axis=1)
 
 
-@dataclass
-class LaoResult:
-    table: ValueTable
-    policy: Dict[int, Action]
-    expanded: int
-
-
-def lao_star(
-    ssp,
-    heuristic: Optional[Heuristic] = None,
-    *,
-    epsilon: float = 1e-6,
-    start: Optional[int] = None,
-    table: Optional[ValueTable] = None,
-    max_rounds: int = 1_000_000,
-) -> LaoResult:
+def lao_star(ssp, heuristic: Optional[Heuristic] = None, *, epsilon: float = 1e-6) -> Solution:
     """Heuristic-guided expansion of the best partial solution graph.
 
     Repeatedly traces the greedy subgraph from the start, expands its
     unexpanded fringe, and runs value iteration over the traced envelope
     until the greedy graph is closed and its residual is below ``epsilon``.
     With an admissible heuristic the start value matches full value
-    iteration.  Passing an existing ``table`` (and a ``start`` inside it)
-    resumes from earlier work.
+    iteration.  The policy is the closed greedy graph's.
     """
-    if table is None:
-        table = ValueTable(default=heuristic)
-    elif heuristic is not None and table.default is None:
-        table.default = heuristic
-    root = ssp.start_id if start is None else start
-    expanded = table.expanded
+    table = ValueTable(default=heuristic)
+    values = table.values
+    root = ssp.start_id
+    expanded: Set[int] = set()
 
-    def trace() -> Tuple[List[int], List[int]]:
+    def trace() -> Tuple[List[int], List[int], Dict[int, Action], float]:
+        """The greedy graph's expanded states, its unexpanded fringe, each
+        expanded state's greedy action and their largest residual."""
         graph: List[int] = []
         fringe: List[int] = []
-        seen = {root}
-        stack = [root]
+        policy: Dict[int, Action] = {}
+        residual, seen, stack = 0.0, {root}, [root]
         while stack:
             i = stack.pop()
             if ssp.goal_flags[i]:
@@ -217,14 +203,15 @@ def lao_star(
                 fringe.append(i)
                 continue
             graph.append(i)
-            _, a, _ = bellman_backup(ssp, table, i)
-            if a is None:
-                continue
+            _, a, res = bellman_backup(ssp, table, i)
+            policy[i] = a
+            if res > residual:
+                residual = res
             for j, _p in ssp.successors(i, a):
                 if j not in seen:
                     seen.add(j)
                     stack.append(j)
-        return graph, fringe
+        return graph, fringe, policy, residual
 
     def converge(envelope: List[int], sweep_limit: int) -> None:
         # full tolerance is only needed once the greedy graph is closed;
@@ -232,50 +219,31 @@ def lao_star(
         for _sweep in range(sweep_limit):
             residual = 0.0
             for i in reversed(envelope):
-                res = _apply_backup(ssp, table, i)
+                values[i], _a, res = bellman_backup(ssp, table, i)
                 if res > residual:
                     residual = res
             if residual < epsilon:
                 return
-        if sweep_limit >= max_rounds:
+        if sweep_limit >= LAO_MAX_ROUNDS:
             raise NonConvergence("lao*: envelope value iteration did not converge")
 
-    for _ in range(max_rounds):
-        graph, fringe = trace()
-        if not graph and not fringe:
-            return LaoResult(table=table, policy={}, expanded=len(expanded))
+    settled = False  # the envelope was converged to full tolerance since the last expansion
+    for _ in range(LAO_MAX_ROUNDS):
+        graph, fringe, policy, residual = trace()
         if fringe:
             for f in fringe:
                 expanded.add(f)
-                _apply_backup(ssp, table, f)
+                values[f], _a, _res = bellman_backup(ssp, table, f)
             converge(graph + fringe, sweep_limit=3)
-            continue
-        # greedy graph is closed: converge it, then confirm it stayed closed
-        # and below tolerance (convergence can shift the greedy policy)
-        converge(graph, sweep_limit=max_rounds)
-        graph2, fringe2 = trace()
-        if fringe2:
-            continue
-        policy: Dict[int, Action] = {}
-        stable = True
-        for i in graph2:
-            _, a, res = bellman_backup(ssp, table, i)
-            if res >= epsilon:
-                stable = False
-                break
-            policy[i] = a
-            table.greedy[i] = a
-        if stable:
-            return LaoResult(table=table, policy=policy, expanded=len(expanded))
-    raise NonConvergence(f"lao*: no closed solution graph after {max_rounds} rounds")
-
-
-@dataclass
-class FlaresResult:
-    table: ValueTable
-    policy: Dict[int, Action]
-    trials: int
-    exhausted: bool  # trial budget ran out before the start state was labeled
+            settled = False
+        elif settled and residual < epsilon:
+            return Solution(table, policy, expanded=len(expanded))
+        else:
+            # the greedy graph is closed: converge it; converging can shift
+            # the greedy graph, so the next round traces it again
+            converge(graph, sweep_limit=LAO_MAX_ROUNDS)
+            settled = True
+    raise NonConvergence(f"lao*: no closed solution graph after {LAO_MAX_ROUNDS} rounds")
 
 
 def flares(
@@ -286,10 +254,9 @@ def flares(
     epsilon: float = 1e-3,
     max_trials: int = 100_000,
     seed: int = 0,
-    max_trial_steps: int = 10_000,
     start: Optional[int] = None,
     table: Optional[ValueTable] = None,
-) -> FlaresResult:
+) -> Solution:
     """Trial-based search with depth-limited solved labeling.
 
     Runs greedy trials from the start, backing up visited states, and labels
@@ -303,11 +270,14 @@ def flares(
     ``start`` and ``table`` allow re-solving from a mid-execution state
     while keeping earlier values and solved labels, which is how the
     planner is meant to be deployed: whenever execution reaches a state the
-    last solve never labeled, run more trials rooted there.
+    last solve never labeled, run more trials rooted there.  The policy is
+    the greedy action of each state this call backed up.
     """
     t = math.inf if horizon is None else float(horizon)
     if table is None:
         table = ValueTable(default=heuristic)
+    values = table.values
+    policy: Dict[int, Action] = {}
     rng = random.Random(derive_seed("flares", seed))
     labeled = table.depth_solved
     root = ssp.start_id if start is None else start
@@ -337,7 +307,7 @@ def flares(
             labeled.update(closed)
         else:
             for j in reversed(closed):
-                _apply_backup(ssp, table, j)
+                values[j], policy[j], _ = bellman_backup(ssp, table, j)
         return ok
 
     trials = 0
@@ -346,10 +316,10 @@ def flares(
         visited: List[int] = []
         i = root
         steps = 0
-        while not solved(i) and steps < max_trial_steps:
+        while not solved(i) and steps < FLARES_MAX_TRIAL_STEPS:
             visited.append(i)
-            _apply_backup(ssp, table, i)
-            a = table.greedy[i]
+            values[i], a, _ = bellman_backup(ssp, table, i)
+            policy[i] = a
             i = sample_row(ssp.successors(i, a), rng)
             steps += 1
         while visited:
@@ -357,6 +327,4 @@ def flares(
             if not check_depth_solved(j):
                 break
 
-    return FlaresResult(
-        table=table, policy=dict(table.greedy), trials=trials, exhausted=not solved(root)
-    )
+    return Solution(table, policy, trials=trials, exhausted=not solved(root))

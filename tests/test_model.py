@@ -23,6 +23,8 @@ from gussp.model import (
     observe,
     step_world,
 )
+from gussp.harness import CellSpec, run_cell
+from gussp.harness_types import run_episode
 from oracles import config_labels, is_consistent_with, observation_from_pairs, statuses
 
 
@@ -249,6 +251,36 @@ class TestModelValidation:
     def test_nan_probability_checked(self):
         with pytest.raises(ModelError, match="sums to nan"):
             tiny_model(transition=lambda s, a: ((s, 1.0), (min(s + 1, 2), math.nan)))
+
+    @pytest.mark.parametrize("row, message", [
+        (((1, 1.0), (2, -0.5)), "negative probability in row"),
+        (((1, 1.0), (2, math.nan)), "sums to nan"),
+        (((1, 1.0), (99, 0.0)), "successor 99 .* is not a base state"),
+    ], ids=["negative", "nan", "zero-to-non-base"])
+    def test_hook_row_checked_as_base_rows_are(self, row, message):
+        m = tiny_model(knowledge_effects=lambda s, a, k: row if s == 0 else None)
+        with pytest.raises(ModelError, match=message):
+            run_cell(m, CellSpec("tiny", "vi", trials=5))
+        with pytest.raises(ModelError, match=message):
+            step_world(m, 0, "fwd", 0b11, m.collapsed_knowledge(0b11), random.Random(0))
+
+    @pytest.mark.parametrize("c", [-3.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
+    def test_hook_cost_checked_where_read(self, c):
+        m = tiny_model(knowledge_step_cost=lambda s, a, k: c)
+        message = "negative cost" if c < 0 else "is not finite"
+        with pytest.raises(ModelError, match=message):
+            run_cell(m, CellSpec("tiny", "vi", trials=5))
+        with pytest.raises(ModelError, match=message):
+            step_world(m, 0, "fwd", 0b11, m.collapsed_knowledge(0b11), random.Random(0))
+        with pytest.raises(ModelError, match=message):
+            run_episode(m, 0b11, random.Random(0), lambda s, k: "fwd",
+                        step_budget=10, collect_trace=False)
+
+    @pytest.mark.parametrize("c", [-3.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
+    def test_terminal_cost_checked_as_model_is_built(self, c):
+        message = "negative cost at terminal state 0" if c < 0 else "at terminal state 0 is not"
+        with pytest.raises(ModelError, match=message):
+            tiny_model(terminal_cost=lambda s: c)
 
     def test_zero_cost_needs_optin(self):
         with pytest.raises(ModelError):

@@ -122,7 +122,7 @@ def test_run_episode_checks_a_hook_row():
         prior=GoalPrior.uniform(1),
         knowledge_effects=lambda s, a, k: ((1, 0.5),),
     )
-    with pytest.raises(ModelError, match=r"dynamics row for \(0, G\) / 'go' sums to 0\.5"):
+    with pytest.raises(ModelError, match=r"row \(0, G\) / 'go' sums to 0\.5"):
         run_episode(model, 1, random.Random(0), lambda s, k: "go",
                     step_budget=10, collect_trace=False)
 

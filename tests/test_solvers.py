@@ -128,17 +128,25 @@ def test_lao_expands_fewer_states_than_full_enumeration(small_grids_solved):
     assert wins >= len(small_grids_solved) // 2
 
 
-def test_lao_warm_start_reuses_table(line4_solved):
-    ssp, _reach, _vi = line4_solved
-    h = make_heuristic("hmin", ssp)
-    first = lao_star(ssp, h)
-    v0 = first.table.value(ssp.start_id)
-    from gussp.model import KnowledgeVector
-
-    other = ssp.intern((0, 0), KnowledgeVector(2, no=0b01))
-    second = lao_star(ssp, h, table=first.table, start=other)
-    assert second.table.value(ssp.start_id) == pytest.approx(v0, abs=1e-9)
-    assert second.table.value(other) == pytest.approx(3.0, abs=1e-6)
+def test_lao_policy_is_its_closed_greedy_graph(small_grids_solved):
+    # LAO*'s stopping rule: the policy covers exactly the non-goal states its
+    # greedy graph reaches from the start, and each is greedy within epsilon
+    epsilon = 1e-6
+    for _params, model, ssp, _reach, _vi in small_grids_solved:
+        h = make_heuristic("hpg", ssp, build_distance_oracle(model))
+        res = lao_star(ssp, h, epsilon=epsilon)
+        reached, stack = set(), [ssp.start_id]
+        while stack:
+            i = stack.pop()
+            if i in reached or ssp.is_goal(i):
+                continue
+            reached.add(i)
+            stack.extend(j for j, _p in ssp.successors(i, res.policy[i]))
+        assert reached == set(res.policy)
+        for i in reached:
+            _v, a, residual = bellman_backup(ssp, res.table, i)
+            assert a == res.policy[i]
+            assert residual < epsilon
 
 
 def test_flares_infinite_horizon_is_optimal(small_grids_solved):
