@@ -12,10 +12,11 @@ knowledge vector with nothing unknown (``CompiledSsp(model, k, target)``).
 :class:`CompiledSsp` generates the problem lazily, one whole state at a
 time, so heuristic-search solvers can work on instances far too large to
 enumerate; every SSP and plan of a model reads the base rows and costs
-from the model's one :class:`~gussp.model.BaseTable`.
+from the model's one :class:`~gussp.model.BaseTable`, and asks the
+knowledge hooks only at the model's hook sites.
 :func:`enumerate_reachable` is the eager path used by value iteration,
-oracles and debug dumps: a breadth-first walk into the CSR arrays of
-:class:`Reachable`, whose rows are the compiled ids.
+oracles and debug dumps: a breadth-first walk, one numpy block per level,
+into the CSR arrays of :class:`Reachable`, whose rows are the compiled ids.
 """
 
 from __future__ import annotations
@@ -63,17 +64,18 @@ class CompiledSsp:
 
     Base states are numbered by the model's base table (``sid``), and
     knowledge vectors as they are first met (``kid``).  Compiled states get
-    dense ids in discovery order; ``_ids[kid][sid]`` holds the id of
-    ``(sid, kid)``, or ``None`` before it is met.
+    dense ids in discovery order; ``_ids``, one ``array('i')`` over
+    knowledge vectors × base states, holds at ``kid * len(base) + sid`` the
+    id of ``(sid, kid)``, or -1 before it is met.
 
     ``expand(i)`` returns one ``(action, cost, row)`` per action, in action
     order; ``q_rows(i)``, the SSP's one row cache, memoises it, and
     ``successors`` and ``cost`` index it.  The knowledge hooks are asked once
-    per (state, action) expansion (``_answers``) and win when they answer;
-    otherwise the row and cost come from the model's base table, read and
-    checked when the model was built and shared by every SSP and plan of
-    the model.  Instances are not thread-safe: every solve compiles its own
-    ids and row cache over the model's one table.
+    per (state, action) expansion at a hook site (``_answers``) and win
+    when they answer; otherwise the row and cost come from the model's base
+    table, read and checked when the model was built and shared by every
+    SSP and plan of the model.  Instances are not thread-safe: every solve
+    compiles its own ids and row cache over the model's one table.
     """
 
     def __init__(
@@ -94,9 +96,11 @@ class CompiledSsp:
             terminal, done = model.is_terminal, model.target_done
             self._is_goal = lambda s, k: terminal(s, k) or done(s, target)
         self._base, self._sid, self._reveal = table.states, table.sid, table.reveal
+        self._nb = len(self._base)
         self._kid: Dict[int, int] = {}
         self._kvs: List[KnowledgeVector] = []
-        self._ids: List[List[Optional[int]]] = []
+        self._ids = array("i")
+        self._unmet = array("i", [-1]) * self._nb  # one knowledge vector's ids, none met
         self._sids: List[int] = []
         self._kids: List[int] = []
         self._branch_cache: Dict[int, Tuple[Tuple[int, float], ...]] = {}
@@ -115,23 +119,36 @@ class CompiledSsp:
         if kid is None:
             kid = self._kid[key] = len(self._kvs)
             self._kvs.append(k)
-            self._ids.append([None] * len(self._base))
+            self._ids += self._unmet  # a BufferError while a numpy view of it lives
         return kid
 
     def _add(self, sid: int, kid: int) -> int:
-        i = self._ids[kid][sid] = len(self._sids)
+        i = self._ids[kid * self._nb + sid] = len(self._sids)
         self._sids.append(sid)
         self._kids.append(kid)
         self.goal_flags.append(self._is_goal(self._base[sid], self._kvs[kid]))
         return i
+
+    def _add_all(self, keys: "np.ndarray") -> None:
+        """``_add`` for each ``kid * len(base) + sid`` of ``keys``, in order:
+        all unmet, and distinct."""
+        import numpy as np
+
+        n = len(self._sids)
+        np.frombuffer(self._ids, dtype=np.intc)[keys] = np.arange(n, n + len(keys), dtype=np.intc)
+        sids, kids = (keys % self._nb).tolist(), (keys // self._nb).tolist()
+        base, kvs, is_goal = self._base, self._kvs, self._is_goal
+        self._sids += sids
+        self._kids += kids
+        self.goal_flags += [is_goal(base[sid], kvs[kid]) for sid, kid in zip(sids, kids)]
 
     def intern(self, s: State, k: KnowledgeVector) -> int:
         sid = self._sid.get(s)
         if sid is None:
             raise ModelError(f"{s!r} is not a base state")
         kid = self._kid_of(k)
-        i = self._ids[kid][sid]
-        return self._add(sid, kid) if i is None else i
+        i = self._ids[kid * self._nb + sid]
+        return self._add(sid, kid) if i < 0 else i
 
     def state(self, i: int) -> CompiledState:
         return CompiledState(self._base[self._sids[i]], self._kvs[self._kids[i]])
@@ -180,63 +197,42 @@ class CompiledSsp:
         """The compiled successors of base ``row`` under ``kid``: each
         outcome split by what its arrival reveals, repeated ids merged in
         first-seen order."""
-        ids, add, branches = self._ids, self._add, self._revelation_branches
-        reveal, here = self._reveal, ids[kid]
+        ids, add, branches, nb = self._ids, self._add, self._revelation_branches, self._nb
+        reveal, here = self._reveal, kid * nb
         acc: Dict[int, float] = {}
         for sid2, p in row:
             revealed = reveal[sid2] & unknown
             if not revealed:  # p * 1.0 == p: the knowledge vector stays put
-                j = here[sid2]
-                if j is None:
+                j = ids[here + sid2]
+                if j < 0:
                     j = add(sid2, kid)
                 acc[j] = acc.get(j, 0.0) + p
                 continue
             for kid2, q in branches(kid, revealed):
-                j = ids[kid2][sid2]
-                if j is None:
+                j = ids[kid2 * nb + sid2]
+                if j < 0:
                     j = add(sid2, kid2)
                 acc[j] = acc.get(j, 0.0) + p * q
         return tuple(acc.items())
 
-    def _answers(self, s: State, k: KnowledgeVector) -> Optional[Answers]:
+    def _answers(self, sid: int, s: State, k: KnowledgeVector) -> Optional[Answers]:
         """Each action's ``(knowledge_effects, knowledge_step_cost)`` answer
-        at ``(s, k)``, in action order, or ``None`` when neither hook answers
-        for any action.  The only place the hooks are asked."""
+        at ``(s, k)``, in action order, or ``None`` off the hook sites and
+        when neither hook answers for any action.  The only place the hooks
+        are asked."""
+        if not self.table.hook_site[sid]:
+            return None
         model = self.model
         effects, step_cost = model.knowledge_effects, model.knowledge_step_cost
         answers = None
-        if effects is not None or step_cost is not None:
-            for n, a in enumerate(self.actions):
-                rows = None if effects is None else effects(s, a, k)
-                c = None if step_cost is None else step_cost(s, a, k)
-                if rows is not None or c is not None:
-                    if answers is None:
-                        answers = [(None, None)] * len(self.actions)
-                    answers[n] = (rows, c)
+        for n, a in enumerate(self.actions):
+            rows = None if effects is None else effects(s, a, k)
+            c = None if step_cost is None else step_cost(s, a, k)
+            if rows is not None or c is not None:
+                if answers is None:
+                    answers = [(None, None)] * len(self.actions)
+                answers[n] = (rows, c)
         return answers
-
-    def walk_step(self, i: int) -> Tuple[Optional[List[int]], Optional[QRows]]:
-        """``(ids, None)`` when ``i`` is plain, else ``(None, rows)`` with
-        the rows ``expand(i)`` gives.  A non-goal state is plain when no hook
-        answers, no base row of its ``sid`` reveals a goal still unknown and
-        the model has no ``terminal_cost``: its rows are the merged base rows
-        under its own knowledge vector, which :func:`enumerate_reachable`
-        gathers from the table's CSR once the walk ends, and ``ids`` are its
-        successors in the table's union order, interned."""
-        sid, kid = self._sids[i], self._kids[i]
-        s, k = self._base[sid], self._kvs[kid]
-        answers = self._answers(s, k)
-        if answers is None and self.model.terminal_cost is None:
-            union, mask = self.table.unions[sid]
-            if not mask & self.model.full_mask & ~(k.yes | k.no):
-                here = self._ids[kid]
-                ids = [here[sid2] for sid2 in union]
-                if None in ids:
-                    for m, j in enumerate(ids):
-                        if j is None:
-                            ids[m] = self._add(union[m], kid)
-                return ids, None
-        return None, self._rows(sid, kid, s, k, answers)
 
     def expand(self, i: int) -> QRows:
         if self.goal_flags[i]:  # every action stays put at zero cost
@@ -244,7 +240,7 @@ class CompiledSsp:
             return tuple((a, 0.0, stay) for a in self.actions)
         sid, kid = self._sids[i], self._kids[i]
         s, k = self._base[sid], self._kvs[kid]
-        return self._rows(sid, kid, s, k, self._answers(s, k))
+        return self._rows(sid, kid, s, k, self._answers(sid, s, k))
 
     def _rows(
         self, sid: int, kid: int, s: State, k: KnowledgeVector, answers: Optional[Answers]
@@ -254,7 +250,7 @@ class CompiledSsp:
         goal_flags, model = self.goal_flags, self.model
         exit_cost = model.exit_cost if model.terminal_cost is not None else None
         unknown = model.full_mask & ~(k.yes | k.no)
-        here, add, table = self._ids[kid], self._add, self.table
+        ids, here, add, table = self._ids, kid * self._nb, self._add, self.table
         base_rows, base_costs = table.rows, table.costs
         pair = first = sid * len(self.actions)
         out = []
@@ -269,8 +265,8 @@ class CompiledSsp:
                 else:  # nothing still unknown revealed: the merged row's ids
                     succ = []
                     for sid2, p in merged:
-                        j = here[sid2]
-                        succ.append((add(sid2, kid) if j is None else j, p))
+                        j = ids[here + sid2]
+                        succ.append((add(sid2, kid) if j < 0 else j, p))
                     succ = tuple(succ)
             c = base_costs[pair] if c is None else checked_cost(c, s, a, k)
             if exit_cost is not None:
@@ -363,17 +359,25 @@ def enumerate_reachable(
 ) -> Reachable:
     """Breadth-first closure from the start state, written into CSR arrays.
 
-    Every non-goal state is expanded once through ``ssp.walk_step``, and its
-    rows go into the arrays of :class:`Reachable`; the lazy row cache is
-    left alone.  Goal states are absorbing and not expanded.  The walk takes
-    ids ``0, 1, 2, ...`` as its queue: expansion numbers new successors in
-    the order the walk meets them, so on an SSP no lazy solver has touched
-    the start is id 0 and each newly found state is the next id.  A plain
-    state only interns its successors during the walk; its rows are the
-    merged base rows of its ``sid`` mapped through its knowledge vector's
-    ids, so once the walk ends one numpy gather over the base table's CSR
-    writes them all, in bounded chunks.  Every other state's rows are
-    written edge by edge as the walk expands it.
+    Every non-goal state is expanded once, and its rows go into the arrays
+    of :class:`Reachable`; the lazy row cache is left alone.  Goal states
+    are absorbing and not expanded.  The walk takes ids ``0, 1, 2, ...`` as
+    its queue: expansion numbers new successors in the order the walk meets
+    them, so on an SSP no lazy solver has touched the start is id 0 and
+    each newly found state is the next id.  The ids of one breadth-first
+    level are contiguous, and the walk handles each level as one block.  A
+    plain state (not a goal, no hook answers, no base row of its ``sid``
+    reveals a goal still unknown, and the model has no ``terminal_cost``)
+    has as rows the merged base rows of its ``sid`` under its own knowledge
+    vector, and as successors its ``sid``'s union, in the table's
+    first-seen order; one numpy gather over the unions' CSR lists the
+    successors of all the level's plain states, and the ones the walk has
+    not found yet are numbered in bulk, in order of first occurrence.  The
+    level's other states go through ``ssp._rows`` in id order, each after
+    the plain states before it are numbered, so every id is the one a
+    state-by-state walk gives.  Once the walk ends, one numpy gather over
+    the base table's CSR writes all plain rows, in bounded chunks; every
+    other state's rows are written edge by edge as the walk expands it.
 
     Raises :class:`ValueError` if the SSP was numbered otherwise,
     :class:`StateBudgetExceeded` past ``state_budget`` states and, when
@@ -385,31 +389,70 @@ def enumerate_reachable(
 
     if ssp.start_id != 0:
         raise ValueError(_OUT_OF_ORDER)
-    n_actions = len(ssp.actions)
-    goal, plain = bytearray(), array("i")
+    model, n_actions, nb = ssp.model, len(ssp.actions), ssp._nb
+    u_ptr, u_succ, u_mask = ssp.table.union_csr
+    u_len = np.diff(u_ptr)
+    site = np.frombuffer(ssp.table.hook_site, dtype=bool)
+    unknown = array("q")  # per kid, the goals it leaves unknown
+    plains = []  # per level: its plain ids, their sids and their kids
     # the explicitly written states: ids, then per row its length and cost,
     # then the entries of all their rows in order
     explicit, lens, cost = array("i"), array("i"), array("d")
     indices, data = array("i"), array("d")
-    step, is_goal, add_p = ssp.walk_step, ssp.is_goal, data.append
-    i, n = 0, 1  # n: states found so far
-    while i < n:
-        g = is_goal(i)
-        goal.append(g)
-        if not g:
-            ids, rows = step(i)
-            if rows is None:
-                plain.append(i)
-            else:
-                explicit.append(i)
-                ids = []
-                for _a, c, succ in rows:
-                    cost.append(c)
-                    lens.append(len(succ))
-                    for j, p in succ:
-                        ids.append(j)
-                        add_p(p)
-                indices.extend(ids)
+    lo, n = 0, 1  # the level is lo:n as it starts; n: states found so far
+    while lo < n:
+        hi = n
+        sids = np.array(ssp._sids[lo:hi], dtype=np.intc)
+        kids = np.array(ssp._kids[lo:hi], dtype=np.intp)  # kid * nb may pass 2**31
+        open_ = ~np.array(ssp.goal_flags[lo:hi], dtype=bool)
+        answers = {}
+        for at in np.flatnonzero(open_ & site[sids]).tolist():
+            sid, kid = ssp._sids[lo + at], ssp._kids[lo + at]
+            got = ssp._answers(sid, ssp._base[sid], ssp._kvs[kid])
+            if got is not None:
+                answers[at] = got
+        if model.terminal_cost is None:
+            unknown.extend(model.full_mask & ~(k.yes | k.no) for k in ssp._kvs[len(unknown):])
+            plain = open_ & ((u_mask[sids] & np.frombuffer(unknown, dtype=np.int64)[kids]) == 0)
+            if answers:
+                plain[list(answers)] = False
+        else:
+            plain = np.zeros_like(open_)
+        at_plain = np.flatnonzero(plain)
+        psid, pkid = sids[at_plain], kids[at_plain]
+        plains.append((at_plain + lo, psid, pkid))
+        keys = owner = at_plain[:0]
+        if at_plain.size:
+            # the plain states' successors as kid * nb + sid, in walk order;
+            # kept: those the walk has not found yet, at their first occurrence
+            ln = u_len[psid]
+            keys = np.repeat(pkid * nb, ln) + u_succ[_positions(u_ptr[psid], ln)]
+            got = np.frombuffer(ssp._ids, dtype=np.intc)[keys]
+            unfound = np.flatnonzero((got < 0) | (got >= hi))
+            keys, owner = keys[unfound], np.repeat(at_plain, ln)[unfound]
+            if keys.size:
+                first, at = np.empty(len(ssp._ids), dtype=np.intc), np.arange(len(keys))
+                first[keys] = len(keys)
+                np.minimum.at(first, keys, at)
+                once = first[keys] == at
+                keys, owner = keys[once], owner[once]
+
+        rest = np.flatnonzero(open_ & ~plain)
+        done = 0  # keys numbered so far
+        for at, cut in zip(rest.tolist(), np.searchsorted(owner, rest).tolist()):
+            if cut > done:
+                n, done = _number(ssp, keys[done:cut], n, state_budget), cut
+            i = lo + at
+            sid, kid = ssp._sids[i], ssp._kids[i]
+            explicit.append(i)
+            ids = []
+            for _a, c, succ in ssp._rows(sid, kid, ssp._base[sid], ssp._kvs[kid], answers.get(at)):
+                cost.append(c)
+                lens.append(len(succ))
+                for j, p in succ:
+                    ids.append(j)
+                    data.append(p)
+            indices.extend(ids)
             if ids and max(ids) >= n:
                 for j in ids:
                     if j < n:
@@ -421,22 +464,19 @@ def enumerate_reachable(
                             f"more than {state_budget} reachable compiled states"
                         )
                     n += 1
-        i += 1
+        if done < len(keys):
+            n = _number(ssp, keys[done:], n, state_budget)
+        lo = hi
 
     row_len = np.zeros((n, n_actions), dtype=np.intc)
     row_cost = np.zeros((n, n_actions))
     explicit = np.frombuffer(explicit, dtype=np.intc)
     row_len[explicit] = np.frombuffer(lens, dtype=np.intc).reshape(-1, n_actions)
     row_cost[explicit] = np.frombuffer(cost, dtype=float).reshape(-1, n_actions)
-    plain = np.frombuffer(plain, dtype=np.intc)
-    if plain.size:
-        b_ptr, b_succ, b_prob, b_cost = ssp.table.csr
-        sids, kids = np.array(ssp._sids, dtype=np.intc), np.array(ssp._kids, dtype=np.intc)
-        ids_of = np.full((len(ssp._kvs), len(ssp._base)), -1, dtype=np.intc)
-        ids_of[kids, sids] = np.arange(len(sids), dtype=np.intc)  # [kid, sid]: compiled id
-        psid = sids[plain]
-        row_len[plain] = np.diff(b_ptr).reshape(-1, n_actions)[psid]
-        row_cost[plain] = b_cost.reshape(-1, n_actions)[psid]
+    plain, psid, pkid = (np.concatenate(part) for part in zip(*plains))
+    b_ptr, b_succ, b_prob, b_cost = ssp.table.csr
+    row_len[plain] = np.diff(b_ptr).reshape(-1, n_actions)[psid]
+    row_cost[plain] = b_cost.reshape(-1, n_actions)[psid]
     indptr = np.zeros(n * n_actions + 1, dtype=np.intc)
     np.cumsum(row_len.ravel(), dtype=np.intc, out=indptr[1:])
     del row_len
@@ -450,15 +490,15 @@ def enumerate_reachable(
     for _blocks, dst, src in _block_copies(starts[explicit], e_start, e_len):
         out_indices[dst] = indices[src]
         out_data[dst] = data[src]
-    if plain.size:
-        pkid = kids[plain]
-        p_len = starts[plain + 1] - starts[plain]
-        p_start = b_ptr[psid * n_actions]
-        for blocks, dst, src in _block_copies(starts[plain], p_start, p_len):
-            out_indices[dst] = ids_of[np.repeat(pkid[blocks], p_len[blocks]), b_succ[src]]
-            out_data[dst] = b_prob[src]
+    p_len = starts[plain + 1] - starts[plain]
+    for blocks, dst, src in _block_copies(starts[plain], b_ptr[psid * n_actions], p_len):
+        # the table view is made per chunk, so none outlives the walk
+        out_indices[dst] = np.frombuffer(ssp._ids, dtype=np.intc)[
+            np.repeat(pkid[blocks] * nb, p_len[blocks]) + b_succ[src]
+        ]
+        out_data[dst] = b_prob[src]
 
-    goal_mask = np.frombuffer(goal, dtype=bool)
+    goal_mask = np.array(ssp.goal_flags[:n], dtype=bool)
     transitions = sparse.csr_matrix(
         (out_data, out_indices, indptr), shape=(n * n_actions, n)
     )
@@ -472,6 +512,30 @@ def enumerate_reachable(
             )
 
     return Reachable(goal=goal_mask, cost=row_cost.ravel(), transitions=transitions)
+
+
+def _number(ssp: CompiledSsp, keys: "np.ndarray", n: int, state_budget: int) -> int:
+    """Number the states of ``keys`` (distinct ``kid * len(base) + sid``)
+    that the walk has not found among its first ``n``, in order, as the
+    next ids, and return the new count.  States interned ahead of the walk
+    must come first, in the order the walk finds them; each error is
+    raised where a state-by-state walk would raise it."""
+    import numpy as np
+
+    got = np.frombuffer(ssp._ids, dtype=np.intc)[keys]
+    unfound = (got < 0) | (got >= n)
+    keys, got = keys[unfound], got[unfound]
+    m, early = len(keys), len(ssp) - n
+    if early:
+        want = np.arange(n, n + m)
+        want[early:] = -1
+        bad = np.flatnonzero(got != want)
+        if bad.size and bad[0] <= state_budget - n:
+            raise ValueError(_OUT_OF_ORDER)
+    if n + m > state_budget:
+        raise StateBudgetExceeded(f"more than {state_budget} reachable compiled states")
+    ssp._add_all(keys[early:])
+    return n + m
 
 
 _GATHER_CHUNK = 1 << 15  # blocks per step of _block_copies
@@ -489,12 +553,13 @@ def _block_copies(dst_start: "np.ndarray", src_start: "np.ndarray", lens: "np.nd
 
 
 def _positions(starts: "np.ndarray", lens: "np.ndarray") -> "np.ndarray":
-    """``starts[b]:starts[b] + lens[b]`` for every block ``b`` (at least
-    one), concatenated, as ``np.intc``."""
+    """``starts[b]:starts[b] + lens[b]`` for every block ``b``,
+    concatenated, as ``np.intc``."""
     import numpy as np
 
     first = np.cumsum(lens, dtype=np.intc) - lens  # each block's offset in the result
-    return np.repeat(starts - first, lens) + np.arange(int(first[-1] + lens[-1]), dtype=np.intc)
+    total = int(first[-1] + lens[-1]) if len(lens) else 0
+    return np.repeat(starts - first, lens) + np.arange(total, dtype=np.intc)
 
 
 def _dead_states(transitions: "sparse.csr_matrix", goal: "np.ndarray", n_actions: int):

@@ -126,6 +126,11 @@ def build_search_rescue(params: SearchRescueParams) -> GusspModel:
         },
         goal_membership=membership,
         knowledge_effects=knowledge_effects,
+        # the hook answers only when saving at a site whose victim is not yet saved
+        hook_sites=[
+            (x, y, mask) for x, y, mask in states
+            if (x, y) in site_index and not mask >> site_index[(x, y)] & 1
+        ],
         terminal_test=lambda s, k: bin(s[2]).count("1") >= saved_goal,
         det_target_done=lambda s, target: bool(s[2] & (1 << target)),
     )

@@ -14,6 +14,7 @@ import csv
 import functools
 import itertools
 import math
+import random
 import statistics
 import time
 from array import array
@@ -133,6 +134,14 @@ def _config_draws(seed: int, trials: int) -> array:
     return array("d", (make_rng("config", seed, t).random() for t in range(trials)))
 
 
+@functools.lru_cache(maxsize=4, typed=True)
+def _trial_seeds(seed: int, trials: int, *tag: str) -> Tuple[int, ...]:
+    """Each trial's seed, ``derive_seed(*tag, seed, trial)``, made once per
+    ``(seed, trials)`` and tag: the det baselines' seeds have no tag, the
+    solved policies' rngs take ``"exec"``."""
+    return tuple(derive_seed(*tag, seed, t) for t in range(trials))
+
+
 def _config_string(g_mask: int) -> str:
     return "+".join(str(i) for i in range(g_mask.bit_length()) if g_mask & (1 << i))
 
@@ -198,11 +207,12 @@ def run_cell(
         if selector == "cg" and oracle is None:
             oracle = build_distance_oracle(model)
         cache = PlanCache(model, epsilon=spec.epsilon)
+        seeds = _trial_seeds(spec.seed, spec.trials)
 
         def episode(g_mask: int, trial: int) -> Episode:
             return execute_determinized(
                 model, selector, g_mask,
-                seed=derive_seed(spec.seed, trial),
+                seed=seeds[trial],
                 oracle=oracle,
                 plan_cache=cache,
                 collect_trace=collect_traces,
@@ -260,10 +270,12 @@ def run_cell(
                 table.values[i] = v
                 return a
 
+        seeds = _trial_seeds(spec.seed, spec.trials, "exec")
+
         def episode(g_mask: int, trial: int) -> Episode:
             out = execute_policy(
                 model, ssp, table, policy, g_mask,
-                make_rng("exec", spec.seed, trial),
+                random.Random(seeds[trial]),
                 collect_trace=collect_traces,
                 replan=replan,
             )

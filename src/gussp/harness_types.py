@@ -58,14 +58,15 @@ def run_episode(
     state and the agent's knowledge; only then does the world draw its
     outcome from ``rng``, so an actor that draws from the same ``rng`` keeps
     its draws in step order.  The world step is ``step_world``'s, read
-    inline over the model's base table; an arrival is folded into ``k`` only
-    when it reveals a goal still unknown, and an ``Observation`` is built
-    only for the trace.  Exceeding ``step_budget`` marks the episode failed;
+    inline over the model's base table, so the hooks are asked only at hook
+    sites; an arrival is folded into ``k`` only when it reveals a goal still
+    unknown, and an ``Observation`` is built only for the trace.  Exceeding ``step_budget`` marks the episode failed;
     on termination the model's exit cost is added."""
     table = model.base_table
     states, rows, costs, reveal = table.states, table.rows, table.costs, table.reveal
     action_index, width = table.action_index, len(table.actions)
     cost_hook, effects_hook = model.knowledge_step_cost, model.knowledge_effects
+    site = table.hook_site
     is_terminal, draw = model.is_terminal, rng.random
     s = model.start_state
     sid = table.sid[s]
@@ -78,9 +79,14 @@ def run_episode(
             return Episode(cost, steps, True, trace)
         a = act(s, k)
         pair = sid * width + action_index[a]
-        # the hooks at k_true, cost first, then the table where they do not answer
-        paid = None if cost_hook is None else cost_hook(s, a, k_true)
-        row = None if effects_hook is None else effects_hook(s, a, k_true)
+        # at a hook site the hooks at k_true, cost first, then the table
+        # where they do not answer
+        paid = row = None
+        if site[sid]:
+            if cost_hook is not None:
+                paid = cost_hook(s, a, k_true)
+            if effects_hook is not None:
+                row = effects_hook(s, a, k_true)
         row = rows[pair][0] if row is None else table.checked(row, s, a, k_true)
         u, acc = draw(), 0.0
         for sid2, p in row:

@@ -19,7 +19,9 @@ depend on the knowledge vector.  Each model therefore reads and checks
 every base row and cost once, as it is built, into one :class:`BaseTable`
 (``model.base_table``): the compiler, every determinized plan, the
 distance oracle, the base checks, the world step and the episode loop read
-the base dynamics from it.
+the base dynamics from it.  The knowledge hooks, which let confirmed goals
+change an action, are asked only at the model's hook sites, the base
+states it declares they can answer at (every state by default).
 """
 
 from __future__ import annotations
@@ -350,7 +352,11 @@ class GusspModel:
     process terminates in ``s``.  A hook's row gets the base rows' checks
     and a hook's cost the base costs' (``0 <= c < inf``) wherever it is
     read; ``terminal_cost`` is checked at every base state as the model is
-    built.
+    built.  ``hook_sites``, the base states where the two knowledge hooks
+    can answer, default every state: the compiler, the world step and the
+    episode loop ask both hooks there and nowhere else, so a hook must
+    answer ``None`` off its sites.  A site that is not a base state is an
+    :class:`InvalidInstance`.
 
     The constructor reads ``transition`` and ``cost`` once per ``(s, a)``,
     checking them as it fills ``base_table``, and the library never reads
@@ -381,6 +387,7 @@ class GusspModel:
         base_terminal: Optional[Callable[[State], bool]] = None,
         det_target_done: Optional[Callable[[State, int], bool]] = None,
         allow_zero_costs: bool = False,
+        hook_sites: Optional[Iterable[State]] = None,
     ):
         self.base_states: Tuple[State, ...] = tuple(base_states)
         self.actions: Tuple[Action, ...] = tuple(actions)
@@ -411,6 +418,10 @@ class GusspModel:
             raise InvalidInstance("duplicate base states")
         if start_state not in state_set:
             raise InvalidInstance("start state is not a base state")
+        self.hook_sites = None if hook_sites is None else tuple(hook_sites)
+        stray = [s for s in self.hook_sites or () if s not in state_set]
+        if stray:
+            raise InvalidInstance(f"hook sites are not base states: {stray!r}")
 
         self._goal_index: Dict[Hashable, int] = {
             g: i for i, g in enumerate(self.potential_goals)
@@ -565,7 +576,9 @@ class BaseTable:
     ``transition`` order), the row merged by successor in first-seen order
     and the OR of its successors' reveal masks, and in ``costs`` the cost;
     per ``sid``, ``unions`` holds its distinct successors over all actions,
-    in first-seen order, and their reveal-mask OR."""
+    in first-seen order, and their reveal-mask OR, and ``hook_site`` is 1
+    at the model's hook sites, or nowhere for a model without knowledge
+    hooks."""
 
     def __init__(self, model: GusspModel):
         self.states, self.actions = states, actions = model.base_states, model.actions
@@ -577,6 +590,11 @@ class BaseTable:
         self.unions: List[Tuple[Tuple[int, ...], int]] = []
         transition, cost, base_terminal = model.transition, model.cost, model.base_terminal
         checked, exit_cost = self.checked, model.terminal_cost
+        self.hook_site = bytearray(len(states))
+        if model.knowledge_effects is not None or model.knowledge_step_cost is not None:
+            sites = model.hook_sites
+            for sid in range(len(states)) if sites is None else map(self.sid.get, sites):
+                self.hook_site[sid] = 1
         for s in states:
             terminal = bool(base_terminal and base_terminal(s))
             if exit_cost is not None:
@@ -625,6 +643,17 @@ class BaseTable:
         return tuple(out)
 
     @cached_property
+    def union_csr(self):
+        """The successor unions over the ``sid`` as ``indptr`` and ``succ``,
+        and their reveal masks as ``mask``: numpy arrays made on first use."""
+        import numpy as np
+
+        indptr = np.zeros(len(self.unions) + 1, dtype=np.intc)
+        np.cumsum([len(u) for u, _mask in self.unions], out=indptr[1:])
+        succ = np.array([sid2 for u, _mask in self.unions for sid2 in u], dtype=np.intc)
+        return indptr, succ, np.array([mask for _u, mask in self.unions], dtype=np.int64)
+
+    @cached_property
     def csr(self):
         """The merged rows over the pairs as ``indptr``, ``succ`` and
         ``prob``, and the costs as ``cost``: numpy arrays made on first use."""
@@ -666,18 +695,23 @@ def step_world(
 ) -> Tuple[State, float, Observation]:
     """One environment step under the true configuration ``g_mask``.
 
-    The hooks are asked at ``k_true``, the collapsed knowledge vector of
-    ``g_mask`` (the world knows the truth), the cost hook first; the base
-    table's row and cost, checked when the model was built, stand in where
-    they do not answer, a hook's row is checked here, and the outcome is
-    one draw over the checked row.  The observation, what the agent gets
+    At a hook site the hooks are asked at ``k_true``, the collapsed
+    knowledge vector of ``g_mask`` (the world knows the truth), the cost
+    hook first; the base table's row and cost, checked when the model was
+    built, stand in where they do not answer, a hook's row is checked here,
+    and the outcome is one draw over the checked row.  The observation, what the agent gets
     to see, is :func:`observe`'s, from the table's reveal mask.  This is the
     public one-step API; ``harness_types.run_episode`` takes the same step
     inline and builds the observation only for a trace."""
     table = model.base_table
-    pair = table.sid[s] * len(table.actions) + table.action_index[a]
-    paid = None if model.knowledge_step_cost is None else model.knowledge_step_cost(s, a, k_true)
-    rows = None if model.knowledge_effects is None else model.knowledge_effects(s, a, k_true)
+    sid = table.sid[s]
+    pair = sid * len(table.actions) + table.action_index[a]
+    paid = rows = None
+    if table.hook_site[sid]:
+        if model.knowledge_step_cost is not None:
+            paid = model.knowledge_step_cost(s, a, k_true)
+        if model.knowledge_effects is not None:
+            rows = model.knowledge_effects(s, a, k_true)
     sid2 = sample_row(table.rows[pair][0] if rows is None else table.checked(rows, s, a, k_true), rng)
     revealed = table.reveal[sid2]
     obs = Observation(yes=revealed & g_mask, no=revealed & ~g_mask)

@@ -15,6 +15,7 @@ from gussp.domains import (
     random_grid,
     synthesize_ev_params,
 )
+from gussp.model import GusspModel
 from gussp.solvers import value_iteration
 
 settings.register_profile(
@@ -24,6 +25,19 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+@pytest.fixture
+def undeclared_hook_sites(monkeypatch):
+    """Every model built while this lives drops the hook sites its builder
+    declares, so, like a model that declares none, it has every base state
+    as a site."""
+    init = GusspModel.__init__
+
+    def init_without_sites(self, *, hook_sites=None, **kwargs):
+        init(self, **kwargs)
+
+    monkeypatch.setattr(GusspModel, "__init__", init_without_sites)
 
 
 @pytest.fixture(scope="session")

@@ -14,6 +14,8 @@ import math
 from collections import deque
 from typing import Dict, FrozenSet, List, Tuple
 
+from gussp.compiler import _OUT_OF_ORDER, DEFAULT_STATE_BUDGET, Reachable
+from gussp.errors import StateBudgetExceeded
 from gussp.harness_types import Episode, TraceRow
 from gussp.model import (
     GusspModel, KnowledgeVector, Observation, Status, apply_observation, bits_of, observe,
@@ -348,3 +350,48 @@ def dead_states_reference(transitions, goal, n_actions: int) -> List[int]:
                 can_finish[r] = True
                 stack.append(r)
     return [r for r in range(len(can_finish)) if not can_finish[r]]
+
+
+# -- enumeration: the state-by-state walk the level walk replaced ------------
+
+
+def enumerate_reachable_reference(ssp, state_budget: int = DEFAULT_STATE_BUDGET) -> Reachable:
+    """``enumerate_reachable`` one state at a time, without its properness
+    check: a breadth-first walk that takes ids ``0, 1, 2, ...`` as its queue,
+    expands each non-goal state through ``ssp.expand`` and writes its rows
+    edge by edge, raising the same errors at the same ids."""
+    import numpy as np
+    from scipy import sparse
+
+    if ssp.start_id != 0:
+        raise ValueError(_OUT_OF_ORDER)
+    n_actions = len(ssp.actions)
+    lens, costs, indices, data = [], [], [], []
+    i, n = 0, 1  # n: states found so far
+    while i < n:
+        if ssp.is_goal(i):
+            lens += [0] * n_actions
+            costs += [0.0] * n_actions
+        else:
+            for _a, c, succ in ssp.expand(i):
+                lens.append(len(succ))
+                costs.append(c)
+                for j, p in succ:
+                    indices.append(j)
+                    data.append(p)
+                    if j < n:
+                        continue
+                    if j != n:
+                        raise ValueError(_OUT_OF_ORDER)
+                    if n >= state_budget:
+                        raise StateBudgetExceeded(f"more than {state_budget} reachable compiled states")
+                    n += 1
+        i += 1
+    indptr = np.zeros(len(lens) + 1, dtype=np.intc)
+    np.cumsum(lens, dtype=np.intc, out=indptr[1:])
+    transitions = sparse.csr_matrix(
+        (np.array(data, dtype=float), np.array(indices, dtype=np.intc), indptr),
+        shape=(n * n_actions, n),
+    )
+    goal = np.array([ssp.is_goal(j) for j in range(n)], dtype=bool)
+    return Reachable(goal=goal, cost=np.array(costs, dtype=float), transitions=transitions)

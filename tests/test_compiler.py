@@ -494,11 +494,16 @@ def lazy_walk(ssp):
         i += 1
 
 
+@pytest.mark.parametrize("declared", [True, False])
 @pytest.mark.parametrize("path", ["eager", "lazy"])
-def test_hook_contract(path):
-    """The knowledge hooks run once per (non-goal state, action) expansion;
-    the base dynamics and cost, read as the model was built, are not read
+def test_hook_contract(path, declared, request):
+    """The knowledge hooks run once per (non-goal state, action) expansion
+    at a hook site and never elsewhere: rover declares its three sample
+    sites, and a model that declares none has every base state as a site.
+    The base dynamics and cost, read as the model was built, are not read
     again."""
+    if not declared:
+        request.getfixturevalue("undeclared_hook_sites")
     _params, model = load_instance(str(INSTANCES / "rover6.txt"))
     calls = count_calls(model)
     ssp = compile_gussp(model)
@@ -512,9 +517,13 @@ def test_hook_contract(path):
         for i in range(len(ssp)) if not ssp.is_goal(i)
         for a in ssp.actions
     )
-    assert len(ssp) == 855
-    assert calls["knowledge_effects"] == expanded
-    assert calls["knowledge_step_cost"] == expanded
+    assert len(ssp) == 855 and len(expanded) == 828 * 5
+    sites = set(model.base_states) if model.hook_sites is None else set(model.hook_sites)
+    assert len(sites) == (3 if declared else 66)
+    at_sites = Counter({key: n for key, n in expanded.items() if key[0] in sites})
+    assert len(at_sites) == (51 if declared else 828) * 5
+    assert calls["knowledge_effects"] == at_sites
+    assert calls["knowledge_step_cost"] == at_sites
     assert calls["transition"] == calls["cost"] == Counter()
 
 

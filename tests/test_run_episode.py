@@ -22,7 +22,7 @@ from gussp.errors import ModelError
 from gussp.harness import CellSpec, run_cell
 from gussp.harness_types import run_episode
 from gussp.model import GoalPrior, GusspModel
-from gussp.rng import make_rng
+from gussp.rng import derive_seed, make_rng
 from gussp.solvers import value_iteration
 from oracles import run_episode_reference
 
@@ -92,23 +92,40 @@ def test_run_episode_matches_the_reference_when_the_budget_runs_out():
         assert got_state == want_state
 
 
-def test_run_episode_asks_both_hooks_at_the_true_configuration_on_every_step():
+@pytest.mark.parametrize("declared", [True, False])
+def test_run_episode_asks_both_hooks_at_the_true_configuration_on_every_step(declared, request):
+    """On every step from a hook site, and on no other step: rover declares
+    its sample sites, and a model that declares none asks on every step."""
+    if not declared:
+        request.getfixturevalue("undeclared_hook_sites")
     model, ssp, policy = _solved.__wrapped__("rover6")  # a model of its own to wrap
+    sites = set(model.base_states) if model.hook_sites is None else set(model.hook_sites)
+    assert len(sites) == (3 if declared else 66)
     calls = []
     for name in ("knowledge_step_cost", "knowledge_effects"):
         def hook(s, a, k, name=name, inner=getattr(model, name)):
-            calls.append((name, k))
+            calls.append((name, s, k))
             return inner(s, a, k)
         setattr(model, name, hook)
     for g_mask in _g_masks(model):
         calls.clear()
-        episode = run_episode(model, g_mask, random.Random(g_mask),
-                              lambda s, k: policy[ssp.intern(s, k)],
+        visited = []
+
+        def act(s, k):
+            visited.append(s)
+            return policy[ssp.intern(s, k)]
+
+        episode = run_episode(model, g_mask, random.Random(g_mask), act,
                               step_budget=10_000, collect_trace=False)
         k_true = model.collapsed_knowledge(g_mask)
-        assert episode.steps > 0
-        assert calls == [("knowledge_step_cost", k_true), ("knowledge_effects", k_true)] \
-            * episode.steps
+        at_sites = [s for s in visited if s in sites]
+        assert episode.steps == len(visited) > 0
+        if declared:  # an episode ends by sampling at a site
+            assert 0 < len(at_sites) < len(visited)
+        else:
+            assert at_sites == visited
+        assert calls == [call for s in at_sites for call in (
+            ("knowledge_step_cost", s, k_true), ("knowledge_effects", s, k_true))]
 
 
 def test_run_episode_checks_a_hook_row():
@@ -138,4 +155,25 @@ def test_run_cell_draws_each_trial_configuration_once_per_seed():
     for seed in range(10):
         run_cell(model, CellSpec("search4", "det-mlg", trials=2, seed=seed))
     info = harness._config_draws.cache_info()
+    assert info.currsize <= info.maxsize < 10
+
+
+def test_run_cell_derives_each_trial_seed_once_per_seed():
+    """The det baselines' trial seeds and the solved policies' rng seeds come
+    from one bounded memo per ``(seed, trials)``, equal to deriving each
+    trial's seed on its own."""
+    for seed, trials in ((0, 5), (3, 50)):
+        assert harness._trial_seeds(seed, trials) == tuple(
+            derive_seed(seed, t) for t in range(trials))
+        assert harness._trial_seeds(seed, trials, "exec") == tuple(
+            derive_seed("exec", seed, t) for t in range(trials))
+    _params, model = load_instance(str(INSTANCES / "search4.txt"))
+    harness._trial_seeds.cache_clear()
+    for algorithm in ("det-mlg", "det-cg", "vi", "vi"):
+        run_cell(model, CellSpec("search4", algorithm, trials=5, seed=3))
+    info = harness._trial_seeds.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
+    for seed in range(10):
+        run_cell(model, CellSpec("search4", "det-mlg", trials=2, seed=seed))
+    info = harness._trial_seeds.cache_info()
     assert info.currsize <= info.maxsize < 10
