@@ -66,7 +66,9 @@ class CompiledSsp:
     knowledge vectors as they are first met (``kid``).  Compiled states get
     dense ids in discovery order; ``_ids``, one ``array('i')`` over
     knowledge vectors × base states, holds at ``kid * len(base) + sid`` the
-    id of ``(sid, kid)``, or -1 before it is met.
+    id of ``(sid, kid)``, or -1 before it is met.  A row holds id ``i`` as
+    ``_shared[i]``, one int object per id, as fresh ints read from the
+    array would cost memory and slow every dict keyed by ids.
 
     ``expand(i)`` returns one ``(action, cost, row)`` per action, in action
     order; ``q_rows(i)``, the SSP's one row cache, memoises it, and
@@ -100,9 +102,9 @@ class CompiledSsp:
         self._kid: Dict[int, int] = {}
         self._kvs: List[KnowledgeVector] = []
         self._ids = array("i")
+        self._shared: List[int] = []
         self._unmet = array("i", [-1]) * self._nb  # one knowledge vector's ids, none met
-        self._sids: List[int] = []
-        self._kids: List[int] = []
+        self._sids, self._kids = array("i"), array("i")  # per id: its sid and kid
         self._branch_cache: Dict[int, Tuple[Tuple[int, float], ...]] = {}
         # the base model's distance oracle, when compile_gussp's properness
         # check built one; hpg reads it instead of building its own
@@ -124,6 +126,7 @@ class CompiledSsp:
 
     def _add(self, sid: int, kid: int) -> int:
         i = self._ids[kid * self._nb + sid] = len(self._sids)
+        self._shared.append(i)
         self._sids.append(sid)
         self._kids.append(kid)
         self.goal_flags.append(self._is_goal(self._base[sid], self._kvs[kid]))
@@ -136,10 +139,11 @@ class CompiledSsp:
 
         n = len(self._sids)
         np.frombuffer(self._ids, dtype=np.intc)[keys] = np.arange(n, n + len(keys), dtype=np.intc)
+        self._shared.extend(range(n, n + len(keys)))
         sids, kids = (keys % self._nb).tolist(), (keys // self._nb).tolist()
         base, kvs, is_goal = self._base, self._kvs, self._is_goal
-        self._sids += sids
-        self._kids += kids
+        self._sids.extend(sids)
+        self._kids.extend(kids)
         self.goal_flags += [is_goal(base[sid], kvs[kid]) for sid, kid in zip(sids, kids)]
 
     def intern(self, s: State, k: KnowledgeVector) -> int:
@@ -148,7 +152,7 @@ class CompiledSsp:
             raise ModelError(f"{s!r} is not a base state")
         kid = self._kid_of(k)
         i = self._ids[kid * self._nb + sid]
-        return self._add(sid, kid) if i < 0 else i
+        return self._add(sid, kid) if i < 0 else self._shared[i]
 
     def state(self, i: int) -> CompiledState:
         return CompiledState(self._base[self._sids[i]], self._kvs[self._kids[i]])
@@ -197,21 +201,19 @@ class CompiledSsp:
         """The compiled successors of base ``row`` under ``kid``: each
         outcome split by what its arrival reveals, repeated ids merged in
         first-seen order."""
-        ids, add, branches, nb = self._ids, self._add, self._revelation_branches, self._nb
+        ids, shared, add, nb = self._ids, self._shared, self._add, self._nb
         reveal, here = self._reveal, kid * nb
         acc: Dict[int, float] = {}
         for sid2, p in row:
             revealed = reveal[sid2] & unknown
             if not revealed:  # p * 1.0 == p: the knowledge vector stays put
                 j = ids[here + sid2]
-                if j < 0:
-                    j = add(sid2, kid)
+                j = add(sid2, kid) if j < 0 else shared[j]
                 acc[j] = acc.get(j, 0.0) + p
                 continue
-            for kid2, q in branches(kid, revealed):
+            for kid2, q in self._revelation_branches(kid, revealed):
                 j = ids[kid2 * nb + sid2]
-                if j < 0:
-                    j = add(sid2, kid2)
+                j = add(sid2, kid2) if j < 0 else shared[j]
                 acc[j] = acc.get(j, 0.0) + p * q
         return tuple(acc.items())
 
@@ -250,7 +252,8 @@ class CompiledSsp:
         goal_flags, model = self.goal_flags, self.model
         exit_cost = model.exit_cost if model.terminal_cost is not None else None
         unknown = model.full_mask & ~(k.yes | k.no)
-        ids, here, add, table = self._ids, kid * self._nb, self._add, self.table
+        ids, shared, here = self._ids, self._shared, kid * self._nb
+        add, table = self._add, self.table
         base_rows, base_costs = table.rows, table.costs
         pair = first = sid * len(self.actions)
         out = []
@@ -266,7 +269,7 @@ class CompiledSsp:
                     succ = []
                     for sid2, p in merged:
                         j = ids[here + sid2]
-                        succ.append((add(sid2, kid) if j < 0 else j, p))
+                        succ.append((add(sid2, kid) if j < 0 else shared[j], p))
                     succ = tuple(succ)
             c = base_costs[pair] if c is None else checked_cost(c, s, a, k)
             if exit_cost is not None:
@@ -361,23 +364,19 @@ def enumerate_reachable(
 
     Every non-goal state is expanded once, and its rows go into the arrays
     of :class:`Reachable`; the lazy row cache is left alone.  Goal states
-    are absorbing and not expanded.  The walk takes ids ``0, 1, 2, ...`` as
-    its queue: expansion numbers new successors in the order the walk meets
-    them, so on an SSP no lazy solver has touched the start is id 0 and
-    each newly found state is the next id.  The ids of one breadth-first
-    level are contiguous, and the walk handles each level as one block.  A
-    plain state (not a goal, no hook answers, no base row of its ``sid``
-    reveals a goal still unknown, and the model has no ``terminal_cost``)
-    has as rows the merged base rows of its ``sid`` under its own knowledge
-    vector, and as successors its ``sid``'s union, in the table's
-    first-seen order; one numpy gather over the unions' CSR lists the
-    successors of all the level's plain states, and the ones the walk has
-    not found yet are numbered in bulk, in order of first occurrence.  The
-    level's other states go through ``ssp._rows`` in id order, each after
-    the plain states before it are numbered, so every id is the one a
-    state-by-state walk gives.  Once the walk ends, one numpy gather over
-    the base table's CSR writes all plain rows, in bounded chunks; every
-    other state's rows are written edge by edge as the walk expands it.
+    are absorbing and not expanded.  The walk numbers new states in the
+    order it meets them, so on an SSP no lazy solver has touched the start
+    is id 0, and each breadth-first level is a run of ids, handled as one
+    block.  A plain state (not a goal, no hook answers, no base row of its
+    ``sid`` reveals a goal still unknown, no ``terminal_cost``) has the
+    merged base rows of its ``sid`` as rows and its ``sid``'s union as
+    successors: one gather over the unions' CSR lists those of the whole
+    level, and the ones not found yet are numbered in bulk, in order of
+    first occurrence.  The level's other states go through ``ssp._rows`` in
+    id order, each once the plain states before it are numbered, so every
+    id is a state-by-state walk's.  Once the walk ends, one gather over the
+    base table's CSR writes all plain rows; the others are written edge by
+    edge as the walk expands them.
 
     Raises :class:`ValueError` if the SSP was numbered otherwise,
     :class:`StateBudgetExceeded` past ``state_budget`` states and, when
@@ -402,8 +401,9 @@ def enumerate_reachable(
     lo, n = 0, 1  # the level is lo:n as it starts; n: states found so far
     while lo < n:
         hi = n
-        sids = np.array(ssp._sids[lo:hi], dtype=np.intc)
-        kids = np.array(ssp._kids[lo:hi], dtype=np.intp)  # kid * nb may pass 2**31
+        # views of slices, which are copies; kid * nb may pass 2**31
+        sids = np.frombuffer(ssp._sids[lo:hi], dtype=np.intc)
+        kids = np.frombuffer(ssp._kids[lo:hi], dtype=np.intc).astype(np.intp)
         open_ = ~np.array(ssp.goal_flags[lo:hi], dtype=bool)
         answers = {}
         for at in np.flatnonzero(open_ & site[sids]).tolist():
@@ -431,10 +431,10 @@ def enumerate_reachable(
             unfound = np.flatnonzero((got < 0) | (got >= hi))
             keys, owner = keys[unfound], np.repeat(at_plain, ln)[unfound]
             if keys.size:
-                first, at = np.empty(len(ssp._ids), dtype=np.intc), np.arange(len(keys))
+                first, pos = np.empty(len(ssp._ids), dtype=np.intc), np.arange(len(keys))
                 first[keys] = len(keys)
-                np.minimum.at(first, keys, at)
-                once = first[keys] == at
+                np.minimum.at(first, keys, pos)
+                once = first[keys] == pos
                 keys, owner = keys[once], owner[once]
 
         rest = np.flatnonzero(open_ & ~plain)

@@ -60,8 +60,9 @@ def run_episode(
     its draws in step order.  The world step is ``step_world``'s, read
     inline over the model's base table, so the hooks are asked only at hook
     sites; an arrival is folded into ``k`` only when it reveals a goal still
-    unknown, and an ``Observation`` is built only for the trace.  Exceeding ``step_budget`` marks the episode failed;
-    on termination the model's exit cost is added."""
+    unknown, and an ``Observation`` is built only for the trace.  Exceeding
+    ``step_budget`` marks the episode failed; on termination the model's
+    exit cost is added."""
     table = model.base_table
     states, rows, costs, reveal = table.states, table.rows, table.costs, table.reveal
     action_index, width = table.action_index, len(table.actions)

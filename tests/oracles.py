@@ -384,7 +384,8 @@ def enumerate_reachable_reference(ssp, state_budget: int = DEFAULT_STATE_BUDGET)
                     if j != n:
                         raise ValueError(_OUT_OF_ORDER)
                     if n >= state_budget:
-                        raise StateBudgetExceeded(f"more than {state_budget} reachable compiled states")
+                        raise StateBudgetExceeded(
+                            f"more than {state_budget} reachable compiled states")
                     n += 1
         i += 1
     indptr = np.zeros(len(lens) + 1, dtype=np.intc)
