@@ -1,3 +1,5 @@
+import contextlib
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -28,16 +30,24 @@ settings.load_profile("suite")
 
 
 @pytest.fixture
-def undeclared_hook_sites(monkeypatch):
-    """Every model built while this lives drops the hook sites its builder
-    declares, so, like a model that declares none, it has every base state
-    as a site."""
+def hook_sites_declared():
+    """``hook_sites_declared(False)`` is a context in which every model built
+    drops the hook sites its builder declares, so, like a model that
+    declares none, it has every base state as a site;
+    ``hook_sites_declared(True)`` changes nothing."""
     init = GusspModel.__init__
 
     def init_without_sites(self, *, hook_sites=None, **kwargs):
         init(self, **kwargs)
 
-    monkeypatch.setattr(GusspModel, "__init__", init_without_sites)
+    @contextlib.contextmanager
+    def context(declared):
+        with pytest.MonkeyPatch.context() as mp:
+            if not declared:
+                mp.setattr(GusspModel, "__init__", init_without_sites)
+            yield
+
+    return context
 
 
 @pytest.fixture(scope="session")

@@ -494,37 +494,36 @@ def lazy_walk(ssp):
         i += 1
 
 
-@pytest.mark.parametrize("declared", [True, False])
 @pytest.mark.parametrize("path", ["eager", "lazy"])
-def test_hook_contract(path, declared, request):
+def test_hook_contract(path, hook_sites_declared):
     """The knowledge hooks run once per (non-goal state, action) expansion
     at a hook site and never elsewhere: rover declares its three sample
     sites, and a model that declares none has every base state as a site.
     The base dynamics and cost, read as the model was built, are not read
     again."""
-    if not declared:
-        request.getfixturevalue("undeclared_hook_sites")
-    _params, model = load_instance(str(INSTANCES / "rover6.txt"))
-    calls = count_calls(model)
-    ssp = compile_gussp(model)
-    if path == "eager":
-        enumerate_reachable(ssp)
-    else:
-        lazy_walk(ssp)
-        lazy_walk(ssp)  # the rows are memoised: no hook runs again
-    expanded = Counter(
-        (ssp.state(i).s, a, ssp.state(i).k)
-        for i in range(len(ssp)) if not ssp.is_goal(i)
-        for a in ssp.actions
-    )
-    assert len(ssp) == 855 and len(expanded) == 828 * 5
-    sites = set(model.base_states) if model.hook_sites is None else set(model.hook_sites)
-    assert len(sites) == (3 if declared else 66)
-    at_sites = Counter({key: n for key, n in expanded.items() if key[0] in sites})
-    assert len(at_sites) == (51 if declared else 828) * 5
-    assert calls["knowledge_effects"] == at_sites
-    assert calls["knowledge_step_cost"] == at_sites
-    assert calls["transition"] == calls["cost"] == Counter()
+    for declared in (True, False):
+        with hook_sites_declared(declared):
+            _params, model = load_instance(str(INSTANCES / "rover6.txt"))
+        calls = count_calls(model)
+        ssp = compile_gussp(model)
+        if path == "eager":
+            enumerate_reachable(ssp)
+        else:
+            lazy_walk(ssp)
+            lazy_walk(ssp)  # the rows are memoised: no hook runs again
+        expanded = Counter(
+            (ssp.state(i).s, a, ssp.state(i).k)
+            for i in range(len(ssp)) if not ssp.is_goal(i)
+            for a in ssp.actions
+        )
+        assert len(ssp) == 855 and len(expanded) == 828 * 5
+        sites = set(model.base_states) if model.hook_sites is None else set(model.hook_sites)
+        assert len(sites) == (3 if declared else 66)
+        at_sites = Counter({key: n for key, n in expanded.items() if key[0] in sites})
+        assert len(at_sites) == (51 if declared else 828) * 5
+        assert calls["knowledge_effects"] == at_sites
+        assert calls["knowledge_step_cost"] == at_sites
+        assert calls["transition"] == calls["cost"] == Counter()
 
 
 @pytest.mark.parametrize("name", ["rover6", "grid8_landmark"])

@@ -92,40 +92,40 @@ def test_run_episode_matches_the_reference_when_the_budget_runs_out():
         assert got_state == want_state
 
 
-@pytest.mark.parametrize("declared", [True, False])
-def test_run_episode_asks_both_hooks_at_the_true_configuration_on_every_step(declared, request):
+def test_run_episode_asks_both_hooks_at_the_true_configuration_on_every_step(
+        hook_sites_declared):
     """On every step from a hook site, and on no other step: rover declares
     its sample sites, and a model that declares none asks on every step."""
-    if not declared:
-        request.getfixturevalue("undeclared_hook_sites")
-    model, ssp, policy = _solved.__wrapped__("rover6")  # a model of its own to wrap
-    sites = set(model.base_states) if model.hook_sites is None else set(model.hook_sites)
-    assert len(sites) == (3 if declared else 66)
-    calls = []
-    for name in ("knowledge_step_cost", "knowledge_effects"):
-        def hook(s, a, k, name=name, inner=getattr(model, name)):
-            calls.append((name, s, k))
-            return inner(s, a, k)
-        setattr(model, name, hook)
-    for g_mask in _g_masks(model):
-        calls.clear()
-        visited = []
+    for declared in (True, False):
+        with hook_sites_declared(declared):
+            model, ssp, policy = _solved.__wrapped__("rover6")  # a model of its own to wrap
+        sites = set(model.base_states) if model.hook_sites is None else set(model.hook_sites)
+        assert len(sites) == (3 if declared else 66)
+        calls = []
+        for name in ("knowledge_step_cost", "knowledge_effects"):
+            def hook(s, a, k, name=name, inner=getattr(model, name)):
+                calls.append((name, s, k))
+                return inner(s, a, k)
+            setattr(model, name, hook)
+        for g_mask in _g_masks(model):
+            calls.clear()
+            visited = []
 
-        def act(s, k):
-            visited.append(s)
-            return policy[ssp.intern(s, k)]
+            def act(s, k):
+                visited.append(s)
+                return policy[ssp.intern(s, k)]
 
-        episode = run_episode(model, g_mask, random.Random(g_mask), act,
-                              step_budget=10_000, collect_trace=False)
-        k_true = model.collapsed_knowledge(g_mask)
-        at_sites = [s for s in visited if s in sites]
-        assert episode.steps == len(visited) > 0
-        if declared:  # an episode ends by sampling at a site
-            assert 0 < len(at_sites) < len(visited)
-        else:
-            assert at_sites == visited
-        assert calls == [call for s in at_sites for call in (
-            ("knowledge_step_cost", s, k_true), ("knowledge_effects", s, k_true))]
+            episode = run_episode(model, g_mask, random.Random(g_mask), act,
+                                  step_budget=10_000, collect_trace=False)
+            k_true = model.collapsed_knowledge(g_mask)
+            at_sites = [s for s in visited if s in sites]
+            assert episode.steps == len(visited) > 0
+            if declared:  # an episode ends by sampling at a site
+                assert 0 < len(at_sites) < len(visited)
+            else:
+                assert at_sites == visited
+            assert calls == [call for s in at_sites for call in (
+                ("knowledge_step_cost", s, k_true), ("knowledge_effects", s, k_true))]
 
 
 def test_run_episode_checks_a_hook_row():
