@@ -57,7 +57,7 @@ def _checked(kind, ok: Callable, what: str):
     return parse
 
 
-_EPSILON = _checked(float, lambda x: x > 0, "positive")
+_EPSILON = _checked(float, lambda x: 0 < x < math.inf, "positive and finite")
 
 
 def add_cell_options(parser: argparse.ArgumentParser) -> None:

@@ -59,8 +59,8 @@ class CompiledSsp:
 
     The start is ``model.start_state`` under ``k`` (default: every goal
     unknown).  A state is a goal where the model terminates or, given a
-    determinized ``target``, where ``model.target_done`` holds; a terminal
-    cost is charged only where the model terminates.
+    determinized ``target``, where the table's ``done`` mask holds it; a
+    terminal cost is charged only where the model terminates.
 
     Base states are numbered by the model's base table (``sid``), and
     knowledge vectors as they are first met (``kid``).  Compiled states get
@@ -88,19 +88,15 @@ class CompiledSsp:
     ):
         self.model = model
         self.actions = model.actions
-        self.target = target
         self.goal_flags: List[bool] = []
         self.table = table = model.base_table
         self._q_rows: Dict[int, QRows] = {}
-        if target is None:
-            self._is_goal = model.is_terminal
-        else:
-            terminal, done = model.is_terminal, model.target_done
-            self._is_goal = lambda s, k: terminal(s, k) or done(s, target)
+        self._target_bit = 0 if target is None else 1 << target
         self._base, self._sid, self._reveal = table.states, table.sid, table.reveal
         self._nb = len(self._base)
         self._kid: Dict[int, int] = {}
         self._kvs: List[KnowledgeVector] = []
+        self._yes = array("q")  # per kid, its confirmed goals
         self._ids = array("i")
         self._shared: List[int] = []
         self._unmet = array("i", [-1]) * self._nb  # one knowledge vector's ids, none met
@@ -121,6 +117,7 @@ class CompiledSsp:
         if kid is None:
             kid = self._kid[key] = len(self._kvs)
             self._kvs.append(k)
+            self._yes.append(k.yes)
             self._ids += self._unmet  # a BufferError while a numpy view of it lives
         return kid
 
@@ -129,7 +126,9 @@ class CompiledSsp:
         self._shared.append(i)
         self._sids.append(sid)
         self._kids.append(kid)
-        self.goal_flags.append(self._is_goal(self._base[sid], self._kvs[kid]))
+        t, yes = self.table, self._yes[kid]
+        goal = t.terminal[sid] or yes & t.goal_bit[sid] or t.done[sid] & self._target_bit
+        self.goal_flags.append(bool(goal))
         return i
 
     def _add_all(self, keys: "np.ndarray") -> None:
@@ -140,11 +139,13 @@ class CompiledSsp:
         n = len(self._sids)
         np.frombuffer(self._ids, dtype=np.intc)[keys] = np.arange(n, n + len(keys), dtype=np.intc)
         self._shared.extend(range(n, n + len(keys)))
-        sids, kids = (keys % self._nb).tolist(), (keys // self._nb).tolist()
-        base, kvs, is_goal = self._base, self._kvs, self._is_goal
-        self._sids.extend(sids)
-        self._kids.extend(kids)
-        self.goal_flags += [is_goal(base[sid], kvs[kid]) for sid, kid in zip(sids, kids)]
+        sids, kids = keys % self._nb, keys // self._nb
+        self._sids.extend(sids.tolist())
+        self._kids.extend(kids.tolist())
+        terminal, goal_bit, done = self.table.goal_arrays
+        yes = np.frombuffer(self._yes, dtype=np.int64)[kids]
+        goal = terminal[sids] | (yes & goal_bit[sids] | done[sids] & self._target_bit != 0)
+        self.goal_flags += goal.tolist()
 
     def intern(self, s: State, k: KnowledgeVector) -> int:
         sid = self._sid.get(s)
@@ -249,9 +250,7 @@ class CompiledSsp:
     ) -> QRows:
         """Every action's ``(action, cost, row)`` at non-goal ``(sid, kid)``,
         given the hooks' ``answers`` there."""
-        goal_flags, model = self.goal_flags, self.model
-        exit_cost = model.exit_cost if model.terminal_cost is not None else None
-        unknown = model.full_mask & ~(k.yes | k.no)
+        unknown = self.model.full_mask & ~(k.yes | k.no)
         ids, shared, here = self._ids, self._shared, kid * self._nb
         add, table = self._add, self.table
         base_rows, base_costs = table.rows, table.costs
@@ -272,13 +271,11 @@ class CompiledSsp:
                         succ.append((add(sid2, kid) if j < 0 else shared[j], p))
                     succ = tuple(succ)
             c = base_costs[pair] if c is None else checked_cost(c, s, a, k)
-            if exit_cost is not None:
+            if table.exit_cost is not None:  # charged where the model terminates
                 for j, p in succ:
-                    if goal_flags[j]:
-                        s2 = self._base[self._sids[j]]
-                        # a plan's goal need not be where the model terminates
-                        if self.target is None or model.is_terminal(s2, self._kvs[self._kids[j]]):
-                            c += p * exit_cost(s2)
+                    sid2 = self._sids[j]
+                    if table.terminal[sid2] or self._yes[self._kids[j]] & table.goal_bit[sid2]:
+                        c += p * table.exit_cost[sid2]
             out.append((a, c, succ))
             pair += 1
         return tuple(out)
@@ -368,7 +365,7 @@ def enumerate_reachable(
     order it meets them, so on an SSP no lazy solver has touched the start
     is id 0, and each breadth-first level is a run of ids, handled as one
     block.  A plain state (not a goal, no hook answers, no base row of its
-    ``sid`` reveals a goal still unknown, no ``terminal_cost``) has the
+    ``sid`` reveals a goal still unknown, no exit costs) has the
     merged base rows of its ``sid`` as rows and its ``sid``'s union as
     successors: one gather over the unions' CSR lists those of the whole
     level, and the ones not found yet are numbered in bulk, in order of
@@ -411,7 +408,7 @@ def enumerate_reachable(
             got = ssp._answers(sid, ssp._base[sid], ssp._kvs[kid])
             if got is not None:
                 answers[at] = got
-        if model.terminal_cost is None:
+        if ssp.table.exit_cost is None:
             unknown.extend(model.full_mask & ~(k.yes | k.no) for k in ssp._kvs[len(unknown):])
             plain = open_ & ((u_mask[sids] & np.frombuffer(unknown, dtype=np.int64)[kids]) == 0)
             if answers:

@@ -35,11 +35,11 @@ from .harness_types import Episode, run_episode
 def _eligible(model: GusspModel, s: State, k: KnowledgeVector) -> List[Tuple[float, int]]:
     """``(marginal, i)`` for each goal ``i`` still possibly true (a ruled-out
     goal's marginal is 0.0) and not yet achieved at ``s``, in goal order."""
-    marginal, done = model.prior.marginal, model.target_done
+    marginal, done = model.prior.marginal, model.base_table.done[model.base_table.sid[s]]
     out = []
     for i in range(model.n_goals):
         m = marginal(k, i)
-        if m > 0.0 and not done(s, i):
+        if m > 0.0 and not done >> i & 1:
             out.append((m, i))
     return out
 
@@ -172,11 +172,11 @@ def execute_determinized(
     plan: Optional[DeterminizedPlan] = None
     targets = 0
     plan_time = 0.0
-    done = model.target_done
+    table = model.base_table
 
     def act(s: State, k: KnowledgeVector) -> Action:
         nonlocal plan, targets, plan_time
-        if plan is None or k.no >> plan.target & 1 or done(s, plan.target):
+        if plan is None or k.no >> plan.target & 1 or table.done[table.sid[s]] >> plan.target & 1:
             if selector == "mlg":
                 target = select_goal_mlg(model, s, k, rng)
             else:

@@ -96,7 +96,7 @@ def build_rover(params: RoverParams) -> GusspModel:
         knowledge_effects=knowledge_effects,
         knowledge_step_cost=knowledge_step_cost,
         hook_sites=goals,  # the hooks answer only when sampling at a site
-        terminal_test=lambda s, k: s[2],
+        terminal_test=lambda s: s[2],
         base_terminal=lambda s: s[2],
         det_target_done=lambda s, target: s[2],
     )

@@ -131,6 +131,6 @@ def build_search_rescue(params: SearchRescueParams) -> GusspModel:
             (x, y, mask) for x, y, mask in states
             if (x, y) in site_index and not mask >> site_index[(x, y)] & 1
         ],
-        terminal_test=lambda s, k: bin(s[2]).count("1") >= saved_goal,
+        terminal_test=lambda s: bin(s[2]).count("1") >= saved_goal,
         det_target_done=lambda s, target: bool(s[2] & (1 << target)),
     )

@@ -187,13 +187,17 @@ def run_cell(
     episodes.  vi, lao and flares solve up front; the det baselines plan
     inside each episode.  Planning booked on an episode counts as planning.
     ``reachable`` is numbered by the ``ssp`` it was enumerated from, so it
-    needs that ``ssp`` too."""
+    needs that ``ssp`` too.  An unknown algorithm or heuristic, or an
+    epsilon that is not positive and finite, raises :class:`ValueError`
+    before any planning."""
     if reachable is not None and ssp is None:
         raise ValueError("reachable= needs the ssp= it was enumerated from")
     if spec.algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {spec.algorithm!r}")
     if spec.algorithm in ("lao", "flares") and spec.heuristic not in HEURISTICS:
         raise ValueError(f"unknown heuristic {spec.heuristic!r}")
+    if not 0 < spec.epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, not {spec.epsilon!r}")
 
     det = spec.algorithm.startswith("det-")
     heuristic = "" if det else spec.heuristic

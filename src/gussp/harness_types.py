@@ -2,9 +2,9 @@
 
 Both executors, ``harness.execute_policy`` and
 ``determinize.execute_determinized``, are an ``act(s, k)`` closure over it.
-The loop takes ``model.step_world``'s step inline over the model's base
-table, so a step that reveals nothing builds no object; ``step_world``
-stays the public one-step API."""
+The loop reads the model's base table alone: it takes ``step_world``'s
+step inline, so a step that reveals nothing builds no object, and stops on
+the table's goal rule; ``step_world`` stays the public one-step API."""
 
 from __future__ import annotations
 
@@ -60,22 +60,22 @@ def run_episode(
     its draws in step order.  The world step is ``step_world``'s, read
     inline over the model's base table, so the hooks are asked only at hook
     sites; an arrival is folded into ``k`` only when it reveals a goal still
-    unknown, and an ``Observation`` is built only for the trace.  Exceeding
-    ``step_budget`` marks the episode failed; on termination the model's
-    exit cost is added."""
+    unknown, and an ``Observation`` is built only for the trace.  The walk
+    ends where ``terminal[sid] or k.yes & goal_bit[sid]``, the table's goal
+    rule, and adds its exit cost there.  Exceeding ``step_budget`` marks
+    the episode failed."""
     table = model.base_table
     states, rows, costs, reveal = table.states, table.rows, table.costs, table.reveal
     action_index, width = table.action_index, len(table.actions)
     cost_hook, effects_hook = model.knowledge_step_cost, model.knowledge_effects
-    site = table.hook_site
-    is_terminal, draw = model.is_terminal, rng.random
+    site, terminal, goal_bit, draw = table.hook_site, table.terminal, table.goal_bit, rng.random
     s = model.start_state
     sid = table.sid[s]
     k = model.knowledge_all_unknown()
     k_true = model.collapsed_knowledge(g_mask)
     cost, steps = 0.0, 0
     trace: Optional[List[TraceRow]] = [] if collect_trace else None
-    while not is_terminal(s, k):
+    while not (terminal[sid] or k.yes & goal_bit[sid]):
         if steps >= step_budget:
             return Episode(cost, steps, True, trace)
         a = act(s, k)

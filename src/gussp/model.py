@@ -346,22 +346,20 @@ class GusspModel:
     (sampling a confirmed deposit, saving a confirmed victim).  They must
     only branch on components of ``k`` that are confirmed; during execution
     they are evaluated with the fully collapsed vector of the true
-    configuration.  ``terminal_test(s, k)`` overrides the default
-    termination rule (standing on a potential goal confirmed true).
-    ``terminal_cost(s)`` is a one-time nonnegative cost charged when the
-    process terminates in ``s``.  A hook's row gets the base rows' checks
-    and a hook's cost the base costs' (``0 <= c < inf``) wherever it is
-    read; ``terminal_cost`` is checked at every base state as the model is
-    built.  ``hook_sites``, the base states where the two knowledge hooks
-    can answer, default every state: the compiler, the world step and the
+    configuration.  A hook's row gets the base rows' checks and a hook's
+    cost the base costs' (``0 <= c < inf``) wherever it is read.
+    ``hook_sites``, the base states where the two knowledge hooks can
+    answer, default every state: the compiler, the world step and the
     episode loop ask both hooks there and nowhere else, so a hook must
-    answer ``None`` off its sites.  A site that is not a base state is an
-    :class:`InvalidInstance`.
-
-    The constructor reads ``transition`` and ``cost`` once per ``(s, a)``,
-    checking them as it fills ``base_table``, and the library never reads
-    them again; ``transition_rows`` and ``step_cost`` are the plain,
-    unmemoised reading of the hooks and base dynamics.
+    answer ``None`` off its sites; a site that is not a base state is an
+    :class:`InvalidInstance`.  The other hooks see the base state alone:
+    ``terminal_test(s)`` overrides the default termination rule (standing
+    on a potential goal confirmed true), ``det_target_done(s, t)`` the
+    default test of a plan's target ``t`` (standing on one of its sites),
+    and ``terminal_cost(s)`` is a nonnegative cost charged once where the
+    process terminates.  The constructor reads each of them, as well as
+    ``transition`` and ``cost``, once per argument into ``base_table``, and
+    the library never calls them again.
     """
 
     def __init__(
@@ -382,7 +380,7 @@ class GusspModel:
         knowledge_step_cost: Optional[
             Callable[[State, Action, KnowledgeVector], Optional[float]]
         ] = None,
-        terminal_test: Optional[Callable[[State, KnowledgeVector], bool]] = None,
+        terminal_test: Optional[Callable[[State], bool]] = None,
         terminal_cost: Optional[Callable[[State], float]] = None,
         base_terminal: Optional[Callable[[State], bool]] = None,
         det_target_done: Optional[Callable[[State, int], bool]] = None,
@@ -503,40 +501,19 @@ class GusspModel:
     def collapsed_knowledge(self, config_mask: int) -> KnowledgeVector:
         return KnowledgeVector.collapsed(self.n_goals, config_mask)
 
-    # -- dynamics ----------------------------------------------------------
-
-    def transition_rows(
-        self, s: State, a: Action, k: Optional[KnowledgeVector] = None
-    ) -> Sequence[Tuple[State, float]]:
-        if k is not None and self.knowledge_effects is not None:
-            rows = self.knowledge_effects(s, a, k)
-            if rows is not None:
-                return rows
-        return self.transition(s, a)
-
-    def step_cost(self, s: State, a: Action, k: Optional[KnowledgeVector] = None) -> float:
-        if k is not None and self.knowledge_step_cost is not None:
-            c = self.knowledge_step_cost(s, a, k)
-            if c is not None:
-                return c
-        return self.cost(s, a)
+    # -- the goal rule, read from the base table -----------------------------
 
     def is_terminal(self, s: State, k: KnowledgeVector) -> bool:
-        if self.terminal_test is not None:
-            return self.terminal_test(s, k)
-        i = self._membership.get(s)
-        return i is not None and bool(k.yes & (1 << i))
+        t = self.base_table
+        return bool(t.terminal[t.sid[s]] or k.yes & t.goal_bit[t.sid[s]])
 
     def exit_cost(self, s: State) -> float:
-        if self.terminal_cost is None:
-            return 0.0
-        return self.terminal_cost(s)
+        t = self.base_table
+        return 0.0 if t.exit_cost is None else t.exit_cost[t.sid[s]]
 
     def target_done(self, s: State, target: int) -> bool:
         """Has the determinized target been achieved at ``s``?"""
-        if self.det_target_done is not None:
-            return self.det_target_done(s, target)
-        return self._membership.get(s) == target
+        return bool(self.base_table.done[self.base_table.sid[s]] >> target & 1)
 
     def sample_config(self, rng: random.Random) -> int:
         return self.prior.config_at(rng.random())
@@ -568,17 +545,20 @@ class BaseTable:
 
     ``sid`` numbers the base states in ``model.base_states`` order, and a
     ``pair`` is ``sid * len(actions)`` plus the action's position.  The
-    constructor reads each base state's ``model.terminal_cost(s)``, if the
-    model has one, and then ``model.transition(s, a)`` and ``model.cost(s,
-    a)`` once per pair, in pair order, and raises :class:`ModelError` at
-    the first row or cost the model does not allow.  It keeps per pair in
-    ``rows`` the checked row (``p > 0`` outcomes as ``(sid, p)``, in
-    ``transition`` order), the row merged by successor in first-seen order
-    and the OR of its successors' reveal masks, and in ``costs`` the cost;
-    per ``sid``, ``unions`` holds its distinct successors over all actions,
-    in first-seen order, and their reveal-mask OR, and ``hook_site`` is 1
-    at the model's hook sites, or nowhere for a model without knowledge
-    hooks."""
+    constructor reads the base-state hooks, then ``model.transition(s, a)``
+    and ``model.cost(s, a)`` once per pair, in pair order, and raises
+    :class:`ModelError` at the first exit cost, row or cost the model does
+    not allow.  It keeps per pair in ``rows`` the checked row (``p > 0``
+    outcomes as ``(sid, p)``, in ``transition`` order), the row merged by
+    successor in first-seen order and the OR of its successors' reveal
+    masks, and in ``costs`` the cost.  Per ``sid``, ``unions`` holds its
+    distinct successors over all actions, in first-seen order, and their
+    reveal-mask OR; ``hook_site`` is 1 at the model's hook sites, or
+    nowhere for a model without knowledge hooks; and the goal rule is kept:
+    the model terminates at ``(sid, k)`` iff ``terminal[sid] or k.yes &
+    goal_bit[sid]`` (``terminal_test``, else the bit of the goal ``s``
+    instantiates), a plan for target ``t`` also ends where ``done[sid] >> t
+    & 1``, and ``exit_cost`` holds the checked ``terminal_cost``, if any."""
 
     def __init__(self, model: GusspModel):
         self.states, self.actions = states, actions = model.base_states, model.actions
@@ -595,10 +575,16 @@ class BaseTable:
             sites = model.hook_sites
             for sid in range(len(states)) if sites is None else map(self.sid.get, sites):
                 self.hook_site[sid] = 1
+        bits = [0 if i is None else 1 << i for i in map(model._membership.get, states)]
+        tested, done, n_goals = model.terminal_test, model.det_target_done, model.n_goals
+        self.terminal = bytearray(len(states) if tested is None else map(bool, map(tested, states)))
+        self.goal_bit = bits if tested is None else [0] * len(states)
+        self.done = bits if done is None else [
+            sum(1 << t for t in range(n_goals) if done(s, t)) for s in states]
+        self.exit_cost: Optional[List[float]] = None if exit_cost is None else [
+            checked_cost(exit_cost(s), s) for s in states]
         for s in states:
-            terminal = bool(base_terminal and base_terminal(s))
-            if exit_cost is not None:
-                checked_cost(exit_cost(s), s)
+            loops = bool(base_terminal and base_terminal(s))
             union, union_mask = {}, 0  # union: only its keys, in first-seen order, are kept
             for a in actions:
                 raw = transition(s, a)
@@ -607,7 +593,7 @@ class BaseTable:
                     merged[sid2] = merged.get(sid2, 0.0) + p
                     mask |= reveal[sid2]
                 c = checked_cost(cost(s, a), s, a)
-                if terminal:
+                if loops:
                     if c != 0 or raw[0][0] != s or len(raw) != 1:
                         raise ModelError(f"terminal base state {s!r} must self-loop at zero cost")
                 elif c == 0 and not model.allow_zero_costs:
@@ -641,6 +627,15 @@ class BaseTable:
         if not abs(total - 1.0) <= PROB_TOL:  # a NaN fails it too
             raise ModelError(f"row {_where(s, a, k)} sums to {total!r}, expected 1")
         return tuple(out)
+
+    @cached_property
+    def goal_arrays(self):
+        """``terminal``, ``goal_bit`` and ``done`` as numpy arrays (``bool``,
+        ``int64``, ``int64``), made on first use."""
+        import numpy as np
+
+        return (np.frombuffer(self.terminal, dtype=bool),
+                np.array(self.goal_bit, dtype=np.int64), np.array(self.done, dtype=np.int64))
 
     @cached_property
     def union_csr(self):

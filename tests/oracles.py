@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from gussp.compiler import _OUT_OF_ORDER, DEFAULT_STATE_BUDGET, Reachable
 from gussp.errors import StateBudgetExceeded
@@ -55,13 +55,71 @@ def knowledge_from_belief(model: GusspModel, b: Belief) -> KnowledgeVector:
     return KnowledgeVector(model.n_goals, yes, no)
 
 
+# -- the model read straight off its hooks ----------------------------------
+#
+# The library reads each hook once, into the model's base table.  These read
+# the hooks on every call, so the oracles below check the table, not share it.
+
+
+def transition_rows(model: GusspModel, s, a, k: Optional[KnowledgeVector] = None):
+    """The row of ``(s, a)``: the ``knowledge_effects`` hook's answer at
+    ``k``, or where it does not answer the base ``transition``."""
+    if k is not None and model.knowledge_effects is not None:
+        rows = model.knowledge_effects(s, a, k)
+        if rows is not None:
+            return rows
+    return model.transition(s, a)
+
+
+def step_cost(model: GusspModel, s, a, k: Optional[KnowledgeVector] = None) -> float:
+    """The cost of ``(s, a)``: the ``knowledge_step_cost`` hook's answer at
+    ``k``, or where it does not answer the base ``cost``."""
+    if k is not None and model.knowledge_step_cost is not None:
+        c = model.knowledge_step_cost(s, a, k)
+        if c is not None:
+            return c
+    return model.cost(s, a)
+
+
+def goal_index(model: GusspModel, s) -> Optional[int]:
+    """The potential goal ``s`` instantiates: ``goal_membership(s)``, or by
+    default the goal labelled ``s``."""
+    if model.goal_membership is not None:
+        return model.goal_membership(s)
+    return model.potential_goals.index(s) if s in model.potential_goals else None
+
+
+def is_terminal(model: GusspModel, s, k: KnowledgeVector) -> bool:
+    """``terminal_test(s)``, or by default: ``s`` is a site of a goal
+    confirmed true in ``k``."""
+    if model.terminal_test is not None:
+        return bool(model.terminal_test(s))
+    i = goal_index(model, s)
+    return i is not None and k.status_of(i) is Status.CONFIRMED_GOAL
+
+
+def target_done(model: GusspModel, s, target: int) -> bool:
+    """``det_target_done(s, target)``, or by default: ``s`` is a site of
+    ``target``."""
+    if model.det_target_done is not None:
+        return bool(model.det_target_done(s, target))
+    return goal_index(model, s) == target
+
+
+def exit_cost(model: GusspModel, s) -> float:
+    return 0.0 if model.terminal_cost is None else model.terminal_cost(s)
+
+
+# -- raw-belief value iteration ----------------------------------------------
+
+
 def _is_terminal(model: GusspModel, s, b: Belief) -> bool:
-    return model.is_terminal(s, knowledge_from_belief(model, b))
+    return is_terminal(model, s, knowledge_from_belief(model, b))
 
 
 def _expected_cost(model: GusspModel, s, a, b: Belief) -> float:
     return sum(
-        p * model.step_cost(s, a, model.collapsed_knowledge(g)) for g, p in b
+        p * step_cost(model, s, a, model.collapsed_knowledge(g)) for g, p in b
     )
 
 
@@ -71,7 +129,7 @@ def _successors(model: GusspModel, s, a, b: Belief):
     joint: Dict[Tuple[object, int], Dict[int, float]] = {}
     for g, pb in b:
         k_true = model.collapsed_knowledge(g)
-        for s2, p in model.transition_rows(s, a, k_true):
+        for s2, p in transition_rows(model, s, a, k_true):
             if p <= 0.0:
                 continue
             pattern = g & model.reveal_indices(s2)
@@ -106,7 +164,7 @@ def belief_space_values(
         states.append(node)
         s, b = node
         if _is_terminal(model, s, b):
-            terminal[node] = model.exit_cost(s)
+            terminal[node] = exit_cost(model, s)
             continue
         rows = []
         for a in model.actions:
@@ -150,8 +208,8 @@ def step_world_reference(model: GusspModel, s, a, g_mask: int, k_true: Knowledge
     """One environment step read straight off the model: the cost and the
     row through ``step_cost`` and ``transition_rows`` at ``k_true``, one
     draw over the raw row, and the arrival observation."""
-    paid = model.step_cost(s, a, k_true)
-    rows = model.transition_rows(s, a, k_true)
+    paid = step_cost(model, s, a, k_true)
+    rows = transition_rows(model, s, a, k_true)
     s2 = sample_row(list(rows), rng)
     return s2, paid, observe(model, s2, g_mask)
 
@@ -166,7 +224,7 @@ def run_episode_reference(model: GusspModel, g_mask: int, rng, act, *, step_budg
     cost = 0.0
     steps = 0
     trace = [] if collect_trace else None
-    while not model.is_terminal(s, k):
+    while not is_terminal(model, s, k):
         if steps >= step_budget:
             return Episode(cost, steps, True, trace)
         a = act(s, k)
@@ -176,7 +234,7 @@ def run_episode_reference(model: GusspModel, g_mask: int, rng, act, *, step_budg
         cost += paid
         s, k = s2, apply_observation(k, obs)
         steps += 1
-    cost += model.exit_cost(s)
+    cost += exit_cost(model, s)
     if trace is not None:
         trace.append(TraceRow(steps, s, str(k), None, cost, "-"))
     return Episode(cost, steps, False, trace)

@@ -1,14 +1,18 @@
-"""The model's base table: the world step reads it like the model does, and
-sampling over its checked rows draws what the raw rows draw."""
+"""The model's base table: the world step reads it like the model does,
+sampling over its checked rows draws what the raw rows draw, and its goal
+rule answers what the hooks answer."""
 
+import itertools
 import random
 from pathlib import Path
 
 import pytest
 
+import oracles
+from gussp.compiler import CompiledSsp, enumerate_reachable
 from gussp.domains import load_instance
 from gussp.errors import ModelError
-from gussp.model import GoalPrior, GusspModel, step_world
+from gussp.model import GoalPrior, GusspModel, KnowledgeVector, step_world
 from gussp.rng import sample_row
 from oracles import step_world_reference
 
@@ -65,3 +69,49 @@ def test_world_step_checks_the_base_row():
             potential_goals=(1,),
             prior=GoalPrior.uniform(1),
         )
+
+
+def every_knowledge_vector(n):
+    """Each goal unknown, confirmed true or confirmed false, in every way."""
+    for status in itertools.product((0, 1, 2), repeat=n):
+        yield KnowledgeVector(
+            n,
+            yes=sum(1 << i for i, x in enumerate(status) if x == 1),
+            no=sum(1 << i for i, x in enumerate(status) if x == 2),
+        )
+
+
+@pytest.mark.parametrize("name", ["line4", "ev8", "search4", "rover6"])
+def test_goal_rule_matches_the_hooks(name):
+    """At every base state, knowledge vector and target, the table's goal
+    rule, target masks and exit costs answer what the hooks answer when
+    read straight off the model: through the model's readers, through the
+    goal flags of SSPs that intern every pair one at a time, and through
+    those of breadth-first walks, which number each level in bulk, from
+    every goal unknown and from every configuration confirmed."""
+    _params, model = load_instance(str(INSTANCES / f"{name}.txt"))
+    kvs = list(every_knowledge_vector(model.n_goals))
+    targets = range(model.n_goals)
+
+    def goal(s, k, target):
+        return oracles.is_terminal(model, s, k) or (
+            target is not None and oracles.target_done(model, s, target))
+
+    for s in model.base_states:
+        assert model.exit_cost(s) == oracles.exit_cost(model, s), s
+        for t in targets:
+            assert model.target_done(s, t) == oracles.target_done(model, s, t), (s, t)
+        for k in kvs:
+            assert model.is_terminal(s, k) == oracles.is_terminal(model, s, k), (s, k)
+    for target in (None, *targets):
+        ssp = CompiledSsp(model, target=target)
+        for k in kvs:
+            for s in model.base_states:
+                assert ssp.is_goal(ssp.intern(s, k)) == goal(s, k, target), (s, k, target)
+        configs = range(1, model.full_mask + 1)
+        for k in (model.knowledge_all_unknown(), *map(model.collapsed_knowledge, configs)):
+            ssp = CompiledSsp(model, k, target)
+            reach = enumerate_reachable(ssp, require_proper=False)
+            for i, flag in enumerate(reach.goal.tolist()):
+                x = ssp.state(i)
+                assert flag == goal(x.s, x.k, target), (x, target)

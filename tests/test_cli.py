@@ -137,10 +137,12 @@ def test_malformed_instance_field_exits_2(tmp_path, capsys, text):
     ("plan", LINE4, "--algorithm", "lao", "--convergence-log", "{tmp}/sweeps.csv"),
     ("plan", LINE4, "--epsilon", "0"),
     ("plan", LINE4, "--epsilon", "nan"),
+    ("plan", LINE4, "--epsilon", "inf"),
     ("plan", LINE4, "--algorithm", "lao", "--epsilon=-1e-6"),
     ("plan", LINE4, "--state-budget", "0"),
     ("plan", LINE4, "--trials=-1"),
     ("arbor", LINE4, "--epsilon", "0"),
+    ("arbor", LINE4, "--epsilon", "inf"),
 ])
 def test_bad_arguments_exit_2_before_any_work(tmp_path, argv):
     argv = [arg.format(tmp=tmp_path) for arg in argv] + ["--out", str(tmp_path / "r.csv")]
@@ -162,6 +164,7 @@ def _run_benchmarks_script():
 
 @pytest.mark.parametrize("argv", [
     ("--algorithms", "vi", "--epsilon", "0"),
+    ("--algorithms", "vi", "--epsilon", "inf"),
     ("--algorithms", "lao", "--heuristic", "foo"),
     ("--trials=-1",),
 ])

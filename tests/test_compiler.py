@@ -465,22 +465,38 @@ def count_calls(model):
     return calls
 
 
+BASE_HOOKS = (
+    "transition", "cost", "terminal_test", "det_target_done", "terminal_cost", "goal_membership",
+)
+
+
 def count_base_reads(monkeypatch):
-    """Wrap the base dynamics of every model built from here on, before its
-    constructor sees them, so each read is counted, keyed on ``(s, a)``."""
-    calls = {"transition": Counter(), "cost": Counter()}
+    """Wrap the base dynamics and base-state hooks of every model built from
+    here on, before its constructor sees them, so each read is counted,
+    keyed on its arguments; ``calls["late"]`` counts by name the reads made
+    outside a constructor."""
+    calls = {name: Counter() for name in (*BASE_HOOKS, "late")}
+    building = [0]
     init = GusspModel.__init__
 
-    def counted_init(self, *, transition, cost, **kwargs):
-        def counted_transition(s, a):
-            calls["transition"][(s, a)] += 1
-            return transition(s, a)
+    def counted_init(self, **kwargs):
+        for name in BASE_HOOKS:
+            fn = kwargs.get(name)
+            if fn is None:
+                continue
 
-        def counted_cost(s, a):
-            calls["cost"][(s, a)] += 1
-            return cost(s, a)
+            def counted(*args, fn=fn, name=name):
+                calls[name][args] += 1
+                if not building[0]:
+                    calls["late"][name] += 1
+                return fn(*args)
 
-        init(self, transition=counted_transition, cost=counted_cost, **kwargs)
+            kwargs[name] = counted
+        building[0] += 1
+        try:
+            init(self, **kwargs)
+        finally:
+            building[0] -= 1
 
     monkeypatch.setattr(GusspModel, "__init__", counted_init)
     return calls
@@ -541,6 +557,29 @@ def test_each_base_row_is_read_once_per_model(monkeypatch, name):
     run_cell(model, CellSpec(name=name, algorithm="det-mlg", trials=30))
     once = Counter({(s, a): 1 for s in model.base_states for a in model.actions})
     assert calls["transition"] == calls["cost"] == once
+
+
+@pytest.mark.parametrize("name, hooks", [
+    ("rover6", {"terminal_test", "det_target_done"}),
+    ("search4", {"terminal_test", "det_target_done", "goal_membership"}),
+    ("ev8", {"terminal_cost", "goal_membership"}),
+])
+def test_each_base_state_hook_is_read_once_per_model(monkeypatch, name, hooks):
+    """Counted from the model's construction on, through a vi, lao, flares,
+    det-mlg and det-cg cell: ``terminal_test``, ``terminal_cost`` and
+    ``goal_membership`` are read exactly once per base state and
+    ``det_target_done`` once per base state and target, all while the model
+    is built."""
+    calls = count_base_reads(monkeypatch)
+    _params, model = load_instance(str(INSTANCES / f"{name}.txt"))
+    for algorithm in ("vi", "lao", "flares", "det-mlg", "det-cg"):
+        run_cell(model, CellSpec(name=name, algorithm=algorithm, trials=30))
+    assert {h for h in BASE_HOOKS[2:] if getattr(model, h) is not None} == hooks
+    once = Counter({(s,): 1 for s in model.base_states})
+    per_target = Counter({(s, t): 1 for s in model.base_states for t in range(model.n_goals)})
+    for hook in hooks:
+        assert calls[hook] == (per_target if hook == "det_target_done" else once), hook
+    assert calls["late"] == Counter()
 
 
 def test_answered_hook_skips_the_base_row():

@@ -27,6 +27,7 @@ from gussp.domains import (
 )
 from gussp.errors import InvalidInstance
 from gussp.model import observe
+from oracles import step_cost, transition_rows
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
 
@@ -135,7 +136,7 @@ def test_grid_slip_stays_put():
     model = build_grid(GridParams(width=3, height=1, start=(0, 0),
                                   potential_goals=((2, 0),),
                                   move_success=0.8))
-    rows = dict(model.transition_rows((0, 0), "right"))
+    rows = dict(transition_rows(model, (0, 0), "right"))
     assert rows[(1, 0)] == pytest.approx(0.8)
     assert rows[(0, 0)] == pytest.approx(0.2)
 
@@ -143,7 +144,7 @@ def test_grid_slip_stays_put():
 def test_grid_wall_bump_is_a_self_loop():
     model = build_grid(GridParams(width=3, height=1, start=(0, 0),
                                   potential_goals=((2, 0),)))
-    assert dict(model.transition_rows((0, 0), "up")) == {(0, 0): 1.0}
+    assert dict(transition_rows(model, (0, 0), "up")) == {(0, 0): 1.0}
 
 
 def test_landmark_reveals_vicinity():
@@ -165,14 +166,14 @@ def test_rover_sample_semantics():
     k_true = model.collapsed_knowledge(0b01)
     at_site = (1, 0, False)
     # confirmed site: cheap sample that flips the done flag
-    assert model.step_cost(at_site, "sample", k_true) == pytest.approx(2.0)
-    assert dict(model.transition_rows(at_site, "sample", k_true)) == {
+    assert step_cost(model, at_site, "sample", k_true) == pytest.approx(2.0)
+    assert dict(transition_rows(model, at_site, "sample", k_true)) == {
         (1, 0, True): 1.0,
     }
     # unconfirmed site: expensive no-op
     k0 = model.knowledge_all_unknown()
-    assert model.step_cost(at_site, "sample", k0) == pytest.approx(10.0)
-    assert dict(model.transition_rows(at_site, "sample", k0)) == {at_site: 1.0}
+    assert step_cost(model, at_site, "sample", k0) == pytest.approx(10.0)
+    assert dict(transition_rows(model, at_site, "sample", k0)) == {at_site: 1.0}
     assert model.is_terminal((1, 0, True), k_true)
 
 
@@ -183,11 +184,11 @@ def test_search_rescue_save_semantics():
     ))
     k_true = model.collapsed_knowledge(0b01)
     here = (1, 0, 0)
-    assert model.step_cost(here, "save", k_true) == pytest.approx(2.0)
-    assert dict(model.transition_rows(here, "save", k_true)) == {(1, 0, 1): 1.0}
+    assert step_cost(model, here, "save", k_true) == pytest.approx(2.0)
+    assert dict(transition_rows(model, here, "save", k_true)) == {(1, 0, 1): 1.0}
     assert model.is_terminal((1, 0, 1), k_true)
     # saving twice at the same cell does nothing
-    assert dict(model.transition_rows((1, 0, 1), "save", k_true)) == {
+    assert dict(transition_rows(model, (1, 0, 1), "save", k_true)) == {
         (1, 0, 1): 1.0,
     }
 
@@ -222,7 +223,7 @@ def test_ev_is_structurally_terminating():
         if t >= params.horizon:
             continue
         for action in model.actions:
-            for s2, _p in model.transition_rows((t, c), action):
+            for s2, _p in transition_rows(model, (t, c), action):
                 assert s2[0] == t + 1  # time always advances
 
 

@@ -1,8 +1,10 @@
 import io
+import math
 from pathlib import Path
 
 import pytest
 
+from gussp import harness
 from gussp.compiler import compile_gussp, enumerate_reachable
 from gussp.domains import load_instance
 from gussp.harness import (
@@ -230,6 +232,22 @@ def test_reachable_without_its_ssp_is_rejected():
 def test_unknown_algorithm_rejected(line4_model):
     with pytest.raises(ValueError):
         run_cell(line4_model, CellSpec(name="x", algorithm="bfs"))
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan, math.inf], ids=["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("algorithm", ["vi", "flares", "det-mlg"])
+def test_epsilon_not_positive_and_finite_rejected_before_planning(
+    line4_model, monkeypatch, algorithm, epsilon,
+):
+    """An epsilon outside (0, inf) would stop the solvers at once (inf, nan)
+    or never (0, -1); it is refused before any model is compiled."""
+    def no_planning(*_args, **_kwargs):
+        raise AssertionError("planning started")
+
+    monkeypatch.setattr(harness, "compile_gussp", no_planning)
+    monkeypatch.setattr(harness, "PlanCache", no_planning)
+    with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+        run_cell(line4_model, CellSpec(name="line4", algorithm=algorithm, epsilon=epsilon))
 
 
 @pytest.mark.parametrize("algorithm,executor", [
