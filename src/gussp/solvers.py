@@ -1,4 +1,4 @@
-"""SSP solvers: value iteration, LAO*, and depth-labeled LRTDP (FLARES).
+"""SSP solvers: value iteration, Improved LAO*, and depth-labeled LRTDP (FLARES).
 
 All solvers share the same conventions: values live in a :class:`ValueTable`
 keyed by compiled-state id, goal states are pinned at zero, and ties between
@@ -6,7 +6,8 @@ equal-valued actions always resolve to the action earliest in the model's
 action order.  Each returns one :class:`Solution`: the table, the greedy
 ``policy`` (state id to action) of the states it settled, and its count,
 ``sweeps`` for value iteration, ``expanded`` for LAO* and ``trials`` for
-FLARES.
+FLARES.  LAO* expands the greedy graph in depth-first passes that back up
+each state they visit once, in postorder (Hansen & Zilberstein, AIJ 2001).
 
 Every solver takes a :class:`~gussp.compiler.CompiledSsp`, the compiled
 problem or a determinization's single-target plan, and reads its
@@ -31,7 +32,7 @@ from .rng import derive_seed, sample_row
 
 Heuristic = Callable[[int], float]
 
-LAO_MAX_ROUNDS = 1_000_000  # LAO*'s rounds, and the sweeps of one envelope's convergence
+LAO_MAX_ROUNDS = 1_000_000  # LAO*'s rounds, and the sweeps of one greedy graph's convergence
 FLARES_MAX_TRIAL_STEPS = 10_000
 
 
@@ -175,31 +176,64 @@ def _greedy_rows(reachable: Reachable, v):
 
 
 def lao_star(ssp, heuristic: Optional[Heuristic] = None, *, epsilon: float = 1e-6) -> Solution:
-    """Heuristic-guided expansion of the best partial solution graph.
+    """Improved LAO* (Hansen & Zilberstein, AIJ 2001): heuristic-guided
+    expansion of the best partial solution graph.
 
-    Repeatedly traces the greedy subgraph from the start, expands its
-    unexpanded fringe, and runs value iteration over the traced envelope
-    until the greedy graph is closed and its residual is below ``epsilon``.
-    With an admissible heuristic the start value matches full value
-    iteration.  The policy is the closed greedy graph's.
+    Each pass walks depth-first from the start along every expanded state's
+    best action so far.  A tip it reaches is expanded and backed up once,
+    and the pass goes no further; every expanded state it visits is backed
+    up once in postorder, which writes its value and best action.  Passes
+    repeat until one expands nothing and its largest residual is below
+    ``epsilon``.  Then the greedy graph is traced from the table; once it
+    is closed, value iteration over it converges to ``epsilon``, and LAO*
+    stops when the next trace finds it still closed with residual below
+    ``epsilon``.  With an admissible heuristic the start value matches full
+    value iteration.  The policy is the closed greedy graph's.
     """
     table = ValueTable(default=heuristic)
     values = table.values
+    goal = ssp.goal_flags
     root = ssp.start_id
-    expanded: Set[int] = set()
+    best: Dict[int, Action] = {}  # each expanded state's action at its last backup
+
+    def expand() -> bool:
+        """One depth-first pass; whether it expanded a state or its largest
+        residual is at least ``epsilon``."""
+        grew, residual = False, 0.0
+        seen, stack = {root}, [root]
+        while stack:
+            i = stack.pop()
+            if i < 0:  # ~i's successors are done: back it up in postorder
+                i = ~i
+                values[i], best[i], res = bellman_backup(ssp, table, i)
+                if res > residual:
+                    residual = res
+            elif goal[i]:
+                continue
+            elif i in best:
+                stack.append(~i)
+                for j, _p in ssp.successors(i, best[i]):
+                    if j not in seen:
+                        seen.add(j)
+                        stack.append(j)
+            else:  # a tip: expand it, back it up once, and go no further
+                values[i], best[i], _res = bellman_backup(ssp, table, i)
+                grew = True
+        return grew or residual >= epsilon
 
     def trace() -> Tuple[List[int], List[int], Dict[int, Action], float]:
         """The greedy graph's expanded states, its unexpanded fringe, each
-        expanded state's greedy action and their largest residual."""
+        expanded state's greedy action and their largest residual.  Writes
+        nothing."""
         graph: List[int] = []
         fringe: List[int] = []
         policy: Dict[int, Action] = {}
         residual, seen, stack = 0.0, {root}, [root]
         while stack:
             i = stack.pop()
-            if ssp.goal_flags[i]:
+            if goal[i]:
                 continue
-            if i not in expanded:
+            if i not in best:
                 fringe.append(i)
                 continue
             graph.append(i)
@@ -213,36 +247,30 @@ def lao_star(ssp, heuristic: Optional[Heuristic] = None, *, epsilon: float = 1e-
                     stack.append(j)
         return graph, fringe, policy, residual
 
-    def converge(envelope: List[int], sweep_limit: int) -> None:
-        # full tolerance is only needed once the greedy graph is closed;
-        # between expansions a few sweeps keep the bounds tight enough
-        for _sweep in range(sweep_limit):
+    def converge(graph: List[int]) -> None:
+        for _sweep in range(LAO_MAX_ROUNDS):
             residual = 0.0
-            for i in reversed(envelope):
+            for i in reversed(graph):
                 values[i], _a, res = bellman_backup(ssp, table, i)
                 if res > residual:
                     residual = res
             if residual < epsilon:
                 return
-        if sweep_limit >= LAO_MAX_ROUNDS:
-            raise NonConvergence("lao*: envelope value iteration did not converge")
+        raise NonConvergence("lao*: greedy graph value iteration did not converge")
 
-    settled = False  # the envelope was converged to full tolerance since the last expansion
+    settled = False  # the closed greedy graph was converged since the last busy pass
     for _ in range(LAO_MAX_ROUNDS):
-        graph, fringe, policy, residual = trace()
-        if fringe:
-            for f in fringe:
-                expanded.add(f)
-                values[f], _a, _res = bellman_backup(ssp, table, f)
-            converge(graph + fringe, sweep_limit=3)
+        if expand():
             settled = False
-        elif settled and residual < epsilon:
-            return Solution(table, policy, expanded=len(expanded))
-        else:
-            # the greedy graph is closed: converge it; converging can shift
-            # the greedy graph, so the next round traces it again
-            converge(graph, sweep_limit=LAO_MAX_ROUNDS)
-            settled = True
+            continue
+        graph, fringe, policy, residual = trace()
+        if not fringe:
+            if settled and residual < epsilon:
+                return Solution(table, policy, expanded=len(best))
+            # converging can shift the greedy graph, so the next round
+            # passes over it and traces it again
+            converge(graph)
+        settled = not fringe
     raise NonConvergence(f"lao*: no closed solution graph after {LAO_MAX_ROUNDS} rounds")
 
 

@@ -454,3 +454,44 @@ def enumerate_reachable_reference(ssp, state_budget: int = DEFAULT_STATE_BUDGET)
     )
     goal = np.array([ssp.is_goal(j) for j in range(n)], dtype=bool)
     return Reachable(goal=goal, cost=np.array(costs, dtype=float), transitions=transitions)
+
+
+# -- exact policy evaluation --------------------------------------------------
+
+
+def policy_value(ssp, policy) -> Dict[int, float]:
+    """The exact expected cost of following ``policy`` from the start: the
+    non-goal states of its closure over ``ssp.successors``, each with its
+    value ``V^pi``, solving ``(I - P_pi) V = c_pi`` with ``spsolve``.  Goal
+    states are worth zero and left out; a closure state without an action
+    is an ``AssertionError``."""
+    import numpy as np
+    from scipy import sparse
+    from scipy.sparse.linalg import spsolve
+
+    order: List[int] = []
+    at: Dict[int, int] = {}
+    stack = [ssp.start_id]
+    while stack:
+        i = stack.pop()
+        if i in at or ssp.is_goal(i):
+            continue
+        assert i in policy, f"state {i} of the policy's closure has no action"
+        at[i] = len(order)
+        order.append(i)
+        stack.extend(j for j, _p in ssp.successors(i, policy[i]))
+    n = len(order)
+    if not n:
+        return {}
+    rows, cols, data = list(range(n)), list(range(n)), [1.0] * n
+    cost = np.empty(n)
+    for r, i in enumerate(order):
+        cost[r] = ssp.cost(i, policy[i])
+        for j, p in ssp.successors(i, policy[i]):
+            if j in at:
+                rows.append(r)
+                cols.append(at[j])
+                data.append(-p)
+    system = sparse.csc_matrix((data, (rows, cols)), shape=(n, n))
+    v = np.atleast_1d(spsolve(system, cost))
+    return dict(zip(order, v.tolist()))

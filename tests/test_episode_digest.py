@@ -77,7 +77,7 @@ FROZEN = {
         "51029dca8e211dd372337e6ce7fe539437281d645e620a1f71d93658e4bad523",
     ),
     ('ev8', 'lao', 'hpg'): (
-        "106b26690fb71975e79c4713a14d539fe8908a1bcf165244aa308e9d6bd11d4f",
+        "97c61d5ba6f928f33ffa60148a2381bcf80ac93eeca32ba8676adebfcd41b15d",
         "b573fe0476d211411ac863c72450670e861a7f276a4a6a9d2a72fa0a7de78804",
         "51029dca8e211dd372337e6ce7fe539437281d645e620a1f71d93658e4bad523",
     ),
@@ -112,7 +112,7 @@ FROZEN = {
         "a0ca6cde5333a489c26d4436631dcc25ada65a7aa0e2aeeda06fc7ae053c4108",
     ),
     ('search4', 'lao', 'hpg'): (
-        "875f9eb569a106900bc124426bf389e2fad79b506e0339ff963e4f203b07d8af",
+        "a097bb453b3fcfb0ca39b8efb8e59d5c03d30efaac4a040c58c6f5e7572a914f",
         "52cf0d138490bd148ef564e76d72a74980f15697de2fd3d7f1f119d3bf498e4f",
         "a0ca6cde5333a489c26d4436631dcc25ada65a7aa0e2aeeda06fc7ae053c4108",
     ),
@@ -147,14 +147,14 @@ FROZEN = {
         "8f392e19d54ce7dc0c289dd1d89695b770271a912fb1ef94ff4a5d079f4de768",
     ),
     ('grid8_landmark', 'lao', 'hpg'): (
-        "735ab86911681574835f8a0a611ca07e1cd7cadc18e94c0aad8df4568959e47a",
+        "e9eba2c8fba5f5a3e31a72390706e1ecd1feb08121f23eba857220211de8f4fb",
         "62cf6ffbb743cd3594a4be59db92d8acee3e8eb207edcccea6a71fc1f05e9d73",
-        "627f0bb21e4e598cfb56fa6b9f25fbbf7a635af000fc7effb0d7884db725f6ab",
+        "1ec1538c9919e54e0bee8456600348de1d120a9b9107779a2c2e58f1ce56c9ac",
     ),
     ('grid8_landmark', 'lao', 'hmin'): (
-        "a4373ebb5a2fc014fc9bb31fa8badb884341cb5d56ef121da4c67a5ddec66ca3",
+        "2f2793ec3bc7b720be797b9dfc8d4aa2b4d152e9f0330a105655456a794546d5",
         "8056c88f4946debd0b11f51738f1da50041ac7e8a3ac89f1a0f426c9165d0b8a",
-        "cf9b94817a391c4201e547f82c2972c7b9aac9f33b2538bde3df37a9a6abd2d2",
+        "1ec1538c9919e54e0bee8456600348de1d120a9b9107779a2c2e58f1ce56c9ac",
     ),
     ('grid8_landmark', 'flares', 'hpg'): (
         "9c461ce70dba132a3b057dc1288646b6674e29ea521ea92a6bfad09d11d1f3be",
@@ -182,14 +182,14 @@ FROZEN = {
         "7e6cf7d00e6dff4e5eee437a7f2a6a07f72f225f6c496f85e0af48b764fa0623",
     ),
     ('grid12', 'lao', 'hpg'): (
-        "a0e7e5de143007eff38ff1d88df0e0bc71c3b50ea9b9a88ce647cd5898a826a6",
+        "e2ad927f94d137526c3cb8fe39ed263c26f726a758213439d8b5a25126cb5499",
         "82ecc3ba29e3e990918d43f61b961f4b5880b3d59cbe4b3c7cdd8333f19d4697",
-        "98c6c6bf6d52ed7e20c00eb9037080fc71081e7830c914bfeab9d11747096e69",
+        "27cadfd231a56e8038e7921662aac04d3fd6671f3b8550b3684d520800115d87",
     ),
     ('grid12', 'lao', 'hmin'): (
-        "0590b4c191262dc44c40bf06ea1f622e821a137ad3ad9219614bc977a18d7029",
+        "769fb964a1707dda66b9a4825243c0cbaa7e35595e073d9e6e68892b77a8bd0f",
         "8a102a938b37db63e1353629efae7d13363eab0e89aa9f92cd27262fbad342f3",
-        "f87e6360ab166bfda5c0173fb171d538689bad71053b08dec51e80960eca2082",
+        "d845459791ca00559320af4ac1ef13b7036257d4fdd1b2d30aab6d0a27726af8",
     ),
     ('grid12', 'flares', 'hpg'): (
         "0749e9ee6b97b5609cb41e2042690eb72b7c29e043703b3cee13e26f2ef1dd2f",
@@ -217,14 +217,14 @@ FROZEN = {
         "4ffeac23ea419c09e217c901ed043a36fb6e9922e2d0377b12df0787128e35d3",
     ),
     ('rover6', 'lao', 'hpg'): (
-        "9014d4960eef260b0d584640b771f3b71736e3f8de4aafe01f0442ffc042c818",
-        "b21832969a9107e604a3d01704cf7e197198726e18ad8adad93048d047494001",
-        "bb2efa56a1f7458d26a7a8c54a7e9f8b90fa55a74bb4defa41b0c5317ad14d91",
+        "81eaeb984532bce61ad0134978cbb1576797364f5ad625e845d1988362657c2e",
+        "baf963454cfe11db683674bd570f53d60c55b1df8c29620feac05f65d9edd473",
+        "2599d80d41ac1d61104c3249d589f915d61d360ac77225feeea5d028e911b73a",
     ),
     ('rover6', 'lao', 'hmin'): (
-        "3aa93accba7e813eea07c9f55386e45dd9f9d80490034f8422ff0f4c02d4479b",
-        "c8ac1a5d3d38d4ffc349a015232203099123952bd01c059165223b9a2a4f3b64",
-        "4ffeac23ea419c09e217c901ed043a36fb6e9922e2d0377b12df0787128e35d3",
+        "9eadfab66613b89cea3ca34009fcec46d54c2d5be822876ff3938231db49edec",
+        "bc5e23bc7eec0da6a0770c28661720da130fd99e33a4b52d5e6da61b363ce903",
+        "1524d6db21e2265f8158c8fa38f897c1dfbb5d371b011944632e03c4f222b424",
     ),
     ('rover6', 'flares', 'hpg'): (
         "7086d0a7a779a685a6af4b6dae6fafb806ff9ebbe24fdb861923b7a1aadf3d69",

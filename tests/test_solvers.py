@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +14,10 @@ from gussp.solvers import (
     value_iteration,
 )
 from gussp.heuristics import build_distance_oracle, make_heuristic
-from oracles import belief_space_values, is_consistent_with
+from gussp.domains import load_instance
+from oracles import belief_space_values, is_consistent_with, policy_value
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 
 def test_bellman_line4_partial_backup(line4_solved):
@@ -147,6 +151,40 @@ def test_lao_policy_is_its_closed_greedy_graph(small_grids_solved):
             _v, a, residual = bellman_backup(ssp, res.table, i)
             assert a == res.policy[i]
             assert residual < epsilon
+
+
+@pytest.mark.parametrize("heuristic", ["hpg", "hmin"])
+@pytest.mark.parametrize(
+    "name", ["line4", "ev8", "search4", "rover6", "grid8", "grid8_landmark", "grid12"])
+def test_lao_policy_is_optimal_by_exact_evaluation(name, heuristic):
+    # every bundled instance under 2,000 compiled states: the exact cost of
+    # LAO*'s policy equals V*, and its start value is a lower bound on it
+    model = load_instance(str(INSTANCES / f"{name}.txt"))[1]
+    ssp = compile_gussp(model)
+    v_star = value_iteration(ssp, reachable=enumerate_reachable(ssp)).table.value(ssp.start_id)
+    lazy = compile_gussp(model)
+    res = lao_star(lazy, make_heuristic(heuristic, lazy))
+    v_pi = policy_value(lazy, res.policy)[lazy.start_id]
+    assert abs(v_pi - v_star) <= 1e-8
+    assert res.table.value(lazy.start_id) <= v_pi + 1e-9
+
+
+def test_lao_backups_on_grid12_stay_bounded(monkeypatch):
+    # a depth-first pass backs up each state of the greedy graph once;
+    # re-converging the whole envelope after every expansion took 59,099
+    from gussp import solvers
+
+    calls = [0]
+    backup = solvers.bellman_backup
+
+    def counted(*args):
+        calls[0] += 1
+        return backup(*args)
+
+    monkeypatch.setattr(solvers, "bellman_backup", counted)
+    ssp = compile_gussp(load_instance(str(INSTANCES / "grid12.txt"))[1])
+    lao_star(ssp, make_heuristic("hpg", ssp), epsilon=1e-6)
+    assert calls[0] <= 30_000
 
 
 def test_flares_infinite_horizon_is_optimal(small_grids_solved):
