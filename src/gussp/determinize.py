@@ -8,10 +8,13 @@ the maximum posterior marginal, ``cg`` the closest target by base-model
 distance.  Replanning is triggered only by disconfirmation of the current
 target; observations gathered en route simply sharpen the next selection.
 Each plan is the compiled problem itself, ``CompiledSsp(model, k_assumed,
-target)``, solved exactly and kept as base-state-keyed tables; all plans
-read the model's one base table, so only the first reads base rows.
-``execute_determinized`` is an ``act(s, k)`` closure over
-``harness_types.run_episode``, the loop that also runs solved policies.
+target)``, solved exactly and kept as tables indexed by the base table's
+``sid``; all plans read the model's one base table, so only the first reads
+base rows.  ``execute_determinized`` is an ``act(s, k)`` closure over
+``harness_types.run_episode``, the loop that also runs solved policies: it
+reads ``sid`` once per step, indexes its plan's actions and the table's
+``done`` masks by it, and at a retarget draws from the tie list its
+``PlanCache`` keeps per selector and ``(k.yes, k.no, sid)``.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .compiler import CompiledSsp, enumerate_reachable
 from .errors import ContradictoryObservation, NoEligibleGoal
@@ -44,11 +47,29 @@ def _eligible(model: GusspModel, s: State, k: KnowledgeVector) -> List[Tuple[flo
     return out
 
 
-def _tied_choice(candidates: List[Tuple[float, int]], rng: random.Random, best: float) -> int:
-    ties = [i for v, i in candidates if abs(v - best) <= 1e-12 * max(1.0, abs(best))]
-    if len(ties) == 1:
-        return ties[0]
-    return rng.choice(ties)
+def _target_ties(
+    model: GusspModel, s: State, k: KnowledgeVector, oracle: Optional[DistanceOracle],
+) -> Tuple[int, ...]:
+    """The goals tied for the target at ``(s, k)``, in goal order: by maximum
+    marginal without ``oracle`` (mlg), by minimum finite distance with it
+    (cg).  Raises :class:`NoEligibleGoal` when there is none."""
+    if oracle is None:
+        scored = _eligible(model, s, k)
+        if not scored:
+            raise NoEligibleGoal(f"no eligible target at knowledge {k}")
+        best = max(v for v, _ in scored)
+    else:
+        dist = [(oracle.dist(s, i), i) for _m, i in _eligible(model, s, k)]
+        scored = [(d, i) for d, i in dist if d < math.inf]
+        if not scored:
+            raise NoEligibleGoal(f"no reachable eligible target at knowledge {k}")
+        best = min(v for v, _ in scored)
+    return tuple(i for v, i in scored if abs(v - best) <= 1e-12 * max(1.0, abs(best)))
+
+
+def _draw(ties: Tuple[int, ...], rng: random.Random) -> int:
+    """The one tie, or a uniform draw from ``rng`` among two or more."""
+    return ties[0] if len(ties) == 1 else rng.choice(ties)
 
 
 def select_goal_mlg(
@@ -58,11 +79,7 @@ def select_goal_mlg(
     rng: random.Random,
 ) -> int:
     """Most-likely-goal target: maximum posterior marginal, random on ties."""
-    scored = _eligible(model, s, k)
-    if not scored:
-        raise NoEligibleGoal(f"no eligible target at knowledge {k}")
-    best = max(v for v, _ in scored)
-    return _tied_choice(scored, rng, best)
+    return _draw(_target_ties(model, s, k, None), rng)
 
 
 def select_goal_cg(
@@ -73,30 +90,38 @@ def select_goal_cg(
     rng: random.Random,
 ) -> int:
     """Closest-goal target: minimum base distance among still-possible goals."""
-    dist = [(oracle.dist(s, i), i) for _m, i in _eligible(model, s, k)]
-    scored = [(d, i) for d, i in dist if d < math.inf]
-    if not scored:
-        raise NoEligibleGoal(f"no reachable eligible target at knowledge {k}")
-    best = min(v for v, _ in scored)
-    return _tied_choice(scored, rng, best)
+    return _draw(_target_ties(model, s, k, oracle), rng)
 
 
 @dataclass
 class DeterminizedPlan:
     """A solved single-target plan, reusable across replans and trials.
 
-    ``policy`` and ``value`` are keyed by base state: the plan's knowledge
-    never changes, so each of its compiled states is one base state.
-    ``policy`` covers every non-goal state reachable from the base start,
-    so a walk that stays on the assumption never leaves it."""
+    ``actions`` and ``values`` are indexed by ``sid``, the base table's
+    state number: the plan's knowledge never changes, so each of its
+    compiled states is one base state.  ``actions[sid]`` is None at the
+    plan's goals and at states it never reaches; every other state
+    reachable from the base start has an action, so a walk that stays on
+    the assumption never leaves the plan.  ``policy`` and ``value`` are the
+    same tables keyed by base state, built on each read."""
 
     target: int
-    policy: Dict[State, Action]
-    value: Dict[State, float]
+    actions: List[Optional[Action]]
+    values: List[Optional[float]]
+    states: Sequence[State] = field(repr=False)
+
+    @property
+    def policy(self) -> Dict[State, Action]:
+        return {self.states[sid]: a for sid, a in enumerate(self.actions) if a is not None}
+
+    @property
+    def value(self) -> Dict[State, float]:
+        return {self.states[sid]: v for sid, v in enumerate(self.values) if v is not None}
 
 
 class PlanCache:
-    """Plans keyed by the assumed goal set, shared within a trial batch.
+    """Plans keyed by the assumed goal set, and target ties, shared within a
+    trial batch.
 
     Inside a determinized plan every unresolved site is already treated as
     a non-goal (that is the point of assuming one target), so two knowledge
@@ -109,17 +134,47 @@ class PlanCache:
     target)``: ``enumerate_reachable``, then value iteration.  An assumed
     problem with a reachable state that cannot finish raises
     ``ImproperModel``, naming that ``(s, k)`` pair, and no plan is cached
-    for it.  The cached plan keeps only its base-keyed tables; the base rows
-    stay in the model's table, shared with every other plan."""
+    for it.  The cached plan keeps only its ``sid``-indexed tables; the
+    base rows stay in the model's table, shared with every other plan.
+
+    A target choice depends only on the selector, ``k`` and the base
+    state, so ``ties`` keeps each selector's tie list per ``(k.yes, k.no,
+    sid)``; a retarget then draws from it as ``select_goal_mlg`` and
+    ``select_goal_cg`` do.  Closest-goal ties hold for one distance oracle,
+    the first one given."""
 
     def __init__(self, model: GusspModel, epsilon: float = 1e-6):
         self.model = model
         self.epsilon = epsilon
         self._plans: Dict[Tuple[int, int], DeterminizedPlan] = {}
+        self._ties: Dict[str, Dict[Tuple[int, int, int], Tuple[int, ...]]] = {"mlg": {}, "cg": {}}
+        self._oracle: Optional[DistanceOracle] = None
 
     def __len__(self) -> int:
         """The number of plans built so far."""
         return len(self._plans)
+
+    def ties(
+        self, selector: str, sid: int, k: KnowledgeVector,
+        oracle: Optional[DistanceOracle] = None,
+    ) -> Tuple[int, ...]:
+        """The goals ``select_goal_<selector>`` draws its target from at base
+        state ``sid`` under ``k``, found on first use.  A case with no
+        eligible goal raises :class:`NoEligibleGoal` on every call; nothing
+        is kept for it.  ``"cg"`` needs ``oracle``, equal on every call."""
+        if selector == "mlg":
+            oracle = None
+        elif oracle is None or self._oracle not in (None, oracle):
+            raise ValueError("closest-goal ties need this cache's one distance oracle")
+        else:
+            self._oracle = oracle
+        memo = self._ties[selector]
+        key = (k.yes, k.no, sid)
+        ties = memo.get(key)
+        if ties is None:
+            ties = memo[key] = _target_ties(
+                self.model, self.model.base_table.states[sid], k, oracle)
+        return ties
 
     def plan_for(self, target: int, k: KnowledgeVector) -> Tuple[DeterminizedPlan, float]:
         """Return the plan for ``target`` under ``k``, solving it on first use.
@@ -137,12 +192,14 @@ class PlanCache:
             result = value_iteration(
                 ssp, reachable=enumerate_reachable(ssp), epsilon=self.epsilon
             )
-            states = [ssp.state(i).s for i in range(len(ssp))]
-            plan = self._plans[key] = DeterminizedPlan(
-                target,
-                policy={states[i]: a for i, a in result.policy.items()},
-                value={states[i]: v for i, v in result.table.values.items()},
-            )
+            states, sids = self.model.base_table.states, ssp._sids
+            actions: List[Optional[Action]] = [None] * len(states)
+            values: List[Optional[float]] = [None] * len(states)
+            for i, a in result.policy.items():
+                actions[sids[i]] = a
+            for i, v in result.table.values.items():
+                values[sids[i]] = v
+            plan = self._plans[key] = DeterminizedPlan(target, actions, values, states)
         return plan, time.perf_counter() - t0
 
 
@@ -172,18 +229,16 @@ def execute_determinized(
     plan: Optional[DeterminizedPlan] = None
     targets = 0
     plan_time = 0.0
-    table = model.base_table
+    sid_of, done, ties = model.base_table.sid, model.base_table.done, plan_cache.ties
 
     def act(s: State, k: KnowledgeVector) -> Action:
         nonlocal plan, targets, plan_time
-        if plan is None or k.no >> plan.target & 1 or table.done[table.sid[s]] >> plan.target & 1:
-            if selector == "mlg":
-                target = select_goal_mlg(model, s, k, rng)
-            else:
-                target = select_goal_cg(model, s, k, oracle, rng)
+        sid = sid_of[s]
+        if plan is None or k.no >> plan.target & 1 or done[sid] >> plan.target & 1:
+            target = _draw(ties(selector, sid, k, oracle), rng)
             targets += 1
         else:
-            a = plan.policy.get(s)
+            a = plan.actions[sid]
             if a is not None:
                 return a
             # off the plan: re-plan this target under the current knowledge;
@@ -191,7 +246,7 @@ def execute_determinized(
             target = plan.target
         plan, elapsed = plan_cache.plan_for(target, k)
         plan_time += elapsed
-        a = plan.policy.get(s)
+        a = plan.actions[sid]
         if a is None:
             raise NoEligibleGoal(f"plan for target {target} has no action at {s!r}")
         return a

@@ -108,15 +108,25 @@ def execute_policy(
 ) -> Episode:
     """Walk one episode under a solved (possibly partial) policy.
 
-    ``run_episode`` with an actor over the interned ``(s, k)``.  ``replan``,
-    when given, picks the action at every visited state and may keep solving
-    as a side effect; trial-based planners use it to extend their labeled
-    region whenever execution leaves it.  Otherwise states the policy never
-    covered fall back to a one-step greedy backup on the value table, written
-    back as RTDP does, so a walk that returns to a state does not cycle."""
+    ``run_episode`` with an actor over the compiled id of ``(s, k)``: it
+    reads ``ssp``'s id table at ``kid * len(base) + sid``, finding ``k``'s
+    ``kid`` again only when ``k`` changes, and interns a state not met yet.
+    ``replan``, when given, picks the action at every visited state and may
+    keep solving as a side effect; trial-based planners use it to extend
+    their labeled region whenever execution leaves it.  Otherwise states the
+    policy never covered fall back to a one-step greedy backup on the value
+    table, written back as RTDP does, so a walk that returns to a state does
+    not cycle."""
+    sid_of, ids, nb = model.base_table.sid, ssp._ids, ssp._nb
+    row, row_k = 0, None  # the id table's offset of row_k, the last k met
 
     def act(s: State, k: KnowledgeVector) -> Action:
-        i = ssp.intern(s, k)
+        nonlocal row, row_k
+        if k is not row_k:
+            row, row_k = ssp._kid_of(k) * nb, k
+        i = ids[row + sid_of[s]]
+        if i < 0:
+            i = ssp.intern(s, k)
         a = replan(i) if replan is not None else policy.get(i)
         if a is None:
             table.values[i], a, _ = bellman_backup(ssp, table, i)
@@ -288,18 +298,22 @@ def run_cell(
 
     records: List[TrialRecord] = []
     traces: List[List[TraceRow]] = []
+    configs: Dict[int, str] = {}
     plan_time_first = plan_time
     booked = 0.0
     t1 = time.perf_counter()
     for trial, u in enumerate(_config_draws(spec.seed, spec.trials)):
         g_mask = model.prior.config_at(u)
+        config = configs.get(g_mask)
+        if config is None:
+            config = configs[g_mask] = _config_string(g_mask)
         out = episode(g_mask, trial)
         if det and trial == 0:
             plan_time_first = out.plan_time
         booked += out.plan_time
         records.append(TrialRecord(
             instance=spec.name, algorithm=spec.algorithm, heuristic=heuristic,
-            trial=trial, config=_config_string(g_mask), cost=out.cost,
+            trial=trial, config=config, cost=out.cost,
             steps=out.steps, replans=out.replans, failed=out.failed,
         ))
         if out.trace is not None:

@@ -4,7 +4,8 @@ Both executors, ``harness.execute_policy`` and
 ``determinize.execute_determinized``, are an ``act(s, k)`` closure over it.
 The loop reads the model's base table alone: it takes ``step_world``'s
 step inline, so a step that reveals nothing builds no object, and stops on
-the table's goal rule; ``step_world`` stays the public one-step API."""
+the table's goal rule; ``step_world`` stays the public one-step API.  An
+actor's ``k`` stays one object until an arrival reveals a goal."""
 
 from __future__ import annotations
 

@@ -473,6 +473,9 @@ class GusspModel:
                 "potential goals and landmarks"
             )
 
+        # knowledge vectors are immutable: every episode shares these
+        self._all_unknown = KnowledgeVector.all_unknown(self.n_goals)
+        self._collapsed: Dict[int, KnowledgeVector] = {}
         self.base_table = BaseTable(self)
 
     # -- structure ---------------------------------------------------------
@@ -496,10 +499,15 @@ class GusspModel:
         return mask
 
     def knowledge_all_unknown(self) -> KnowledgeVector:
-        return KnowledgeVector.all_unknown(self.n_goals)
+        """The all-unknown vector, one object per model."""
+        return self._all_unknown
 
     def collapsed_knowledge(self, config_mask: int) -> KnowledgeVector:
-        return KnowledgeVector.collapsed(self.n_goals, config_mask)
+        """The fully determined vector of ``config_mask``, built once per mask."""
+        k = self._collapsed.get(config_mask)
+        if k is None:
+            k = self._collapsed[config_mask] = KnowledgeVector.collapsed(self.n_goals, config_mask)
+        return k
 
     # -- the goal rule, read from the base table -----------------------------
 

@@ -11,16 +11,18 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from collections import deque
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from gussp.compiler import _OUT_OF_ORDER, DEFAULT_STATE_BUDGET, Reachable
-from gussp.errors import StateBudgetExceeded
+from gussp.determinize import select_goal_cg, select_goal_mlg
+from gussp.errors import NoEligibleGoal, StateBudgetExceeded
 from gussp.harness_types import Episode, TraceRow
 from gussp.model import (
     GusspModel, KnowledgeVector, Observation, Status, apply_observation, bits_of, observe,
 )
-from gussp.rng import sample_row
+from gussp.rng import derive_seed, sample_row
 
 Belief = Tuple[Tuple[int, float], ...]  # ((config_mask, prob), ...), sorted
 
@@ -238,6 +240,43 @@ def run_episode_reference(model: GusspModel, g_mask: int, rng, act, *, step_budg
     if trace is not None:
         trace.append(TraceRow(steps, s, str(k), None, cost, "-"))
     return Episode(cost, steps, False, trace)
+
+
+def execute_determinized_reference(model: GusspModel, selector: str, g_mask: int, *,
+                                   plan_cache, seed: int = 0, oracle=None,
+                                   step_budget: int = 100_000) -> Episode:
+    """The determinize-and-replan trial without a tie memo: the actor runs
+    ``select_goal_mlg`` or ``select_goal_cg`` at every retarget and reads
+    its plan by base state, through ``plan.policy``, inside
+    ``run_episode_reference``."""
+    rng = random.Random(derive_seed("det", selector, seed))
+    plan = policy = None
+    targets = 0
+
+    def act(s, k):
+        nonlocal plan, policy, targets
+        if plan is None or k.no >> plan.target & 1 or target_done(model, s, plan.target):
+            if selector == "mlg":
+                target = select_goal_mlg(model, s, k, rng)
+            else:
+                target = select_goal_cg(model, s, k, oracle, rng)
+            targets += 1
+        else:
+            a = policy.get(s)
+            if a is not None:
+                return a
+            target = plan.target
+        plan, _elapsed = plan_cache.plan_for(target, k)
+        policy = plan.policy
+        a = policy.get(s)
+        if a is None:
+            raise NoEligibleGoal(f"plan for target {target} has no action at {s!r}")
+        return a
+
+    episode = run_episode_reference(model, g_mask, rng, act, step_budget=step_budget,
+                                    collect_trace=False)
+    episode.replans = max(0, targets - 1)
+    return episode
 
 
 # -- arborescence reference ---------------------------------------------------
