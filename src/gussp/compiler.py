@@ -21,9 +21,10 @@ into the CSR arrays of :class:`Reachable`, whose rows are the compiled ids.
 
 from __future__ import annotations
 
+import weakref
 from array import array
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, TextIO, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, TextIO, Tuple, Union
 
 from .errors import ImproperModel, ModelError, StateBudgetExceeded
 from .heuristics import INF, DistanceOracle, build_distance_oracle
@@ -303,15 +304,23 @@ class Reachable:
         return len(self.goal)
 
 
+# per model: what its base properness check returned; a model does not
+# change once built
+_properness: "weakref.WeakKeyDictionary[GusspModel, Union[DistanceOracle, str]]" = (
+    weakref.WeakKeyDictionary())
+
+
 def compile_gussp(model: GusspModel) -> CompiledSsp:
     """Compile a model, rejecting obviously improper ones up front.
 
     For models whose goals are literal base states with the default
     termination rule and no knowledge hooks, every base state reachable from
     the start must reach every potential goal with positive prior mass;
-    otherwise some knowledge vector would strand the agent.  The eager
-    :func:`enumerate_reachable` re-checks properness exactly.  Build
-    ``CompiledSsp(model)`` directly to skip the up-front check."""
+    otherwise some knowledge vector would strand the agent.  The check runs
+    once per model; every call returns its oracle or raises its
+    :class:`ImproperModel` again.  The eager :func:`enumerate_reachable`
+    re-checks properness exactly.  Build ``CompiledSsp(model)`` directly to
+    skip the up-front check."""
     ssp = CompiledSsp(model)
     if (
         model.terminal_test is None
@@ -320,16 +329,21 @@ def compile_gussp(model: GusspModel) -> CompiledSsp:
     ):
         # only meaningful when goals are literal places on the base graph; projected
         # goals (time labels, factored cells) need not stay mutually reachable
-        ssp.distance_oracle = _check_base_properness(model)
+        checked = _properness.get(model)
+        if checked is None:
+            checked = _properness[model] = _check_base_properness(model)
+        if isinstance(checked, str):
+            raise ImproperModel(checked)
+        ssp.distance_oracle = checked
     return ssp
 
 
-def _check_base_properness(model: GusspModel) -> DistanceOracle:
+def _check_base_properness(model: GusspModel) -> Union[DistanceOracle, str]:
     """A forward walk over the base table's successor unions, then one
     distance-oracle build: a base state reaches goal ``i`` exactly when its
     oracle distance to ``i`` is finite, as the oracle searches backward over
-    the same ``p > 0`` outcomes.  Names the first stranded state in walk
-    order, or returns the oracle."""
+    the same ``p > 0`` outcomes.  Returns the message naming the first
+    stranded state in walk order, or the oracle."""
     table = model.base_table
     walk = [table.sid[model.start_state]]
     seen = set(walk)
@@ -346,9 +360,7 @@ def _check_base_properness(model: GusspModel) -> DistanceOracle:
         s = table.states[sid]
         for i in goals:
             if oracle.dist(s, i) == INF:
-                raise ImproperModel(
-                    f"state {s!r} cannot reach potential goal {model.potential_goals[i]!r}"
-                )
+                return f"state {s!r} cannot reach potential goal {model.potential_goals[i]!r}"
     return oracle
 
 

@@ -176,6 +176,25 @@ def test_conservative_properness_check():
     assert len(ssp) >= 1
 
 
+def test_base_properness_check_runs_once_per_model(monkeypatch):
+    """Two compiles of one model build one distance oracle and share it;
+    an improper model raises ImproperModel on every compile, from one check."""
+    from gussp import compiler
+
+    built = []
+    build = compiler.build_distance_oracle
+    monkeypatch.setattr(compiler, "build_distance_oracle", lambda m: built.append(m) or build(m))
+    model = grid.build_grid(grid.line4())
+    first, second = compile_gussp(model), compile_gussp(model)
+    assert len(built) == 1
+    assert first.distance_oracle is second.distance_oracle is not None
+    model = one_way_model()
+    for _ in range(2):
+        with pytest.raises(ImproperModel, match="cannot reach"):
+            compile_gussp(model)
+    assert len(built) == 2
+
+
 def test_exact_properness_check():
     def stuck(s, a):
         return ((0, 1.0),)
