@@ -35,35 +35,26 @@ from .solvers import lao_star, value_iteration  # noqa: F401
 from .harness_types import Episode, run_episode
 
 
-def _eligible(model: GusspModel, s: State, k: KnowledgeVector) -> List[Tuple[float, int]]:
-    """``(marginal, i)`` for each goal ``i`` still possibly true (a ruled-out
-    goal's marginal is 0.0) and not yet achieved at ``s``, in goal order."""
-    marginal, done = model.prior.marginal, model.base_table.done[model.base_table.sid[s]]
-    out = []
-    for i in range(model.n_goals):
-        m = marginal(k, i)
-        if m > 0.0 and not done >> i & 1:
-            out.append((m, i))
-    return out
-
-
 def _target_ties(
     model: GusspModel, s: State, k: KnowledgeVector, oracle: Optional[DistanceOracle],
 ) -> Tuple[int, ...]:
-    """The goals tied for the target at ``(s, k)``, in goal order: by maximum
-    marginal without ``oracle`` (mlg), by minimum finite distance with it
-    (cg).  Raises :class:`NoEligibleGoal` when there is none."""
-    if oracle is None:
-        scored = _eligible(model, s, k)
-        if not scored:
-            raise NoEligibleGoal(f"no eligible target at knowledge {k}")
-        best = max(v for v, _ in scored)
-    else:
-        dist = [(oracle.dist(s, i), i) for _m, i in _eligible(model, s, k)]
-        scored = [(d, i) for d, i in dist if d < math.inf]
-        if not scored:
-            raise NoEligibleGoal(f"no reachable eligible target at knowledge {k}")
-        best = min(v for v, _ in scored)
+    """The goals tied for the target at ``(s, k)``, in goal order, among those
+    still possibly true (a ruled-out goal's marginal is 0.0) and not yet
+    achieved at ``s``: by maximum marginal without ``oracle`` (mlg), by
+    minimum finite distance with it (cg).  Raises :class:`NoEligibleGoal`
+    when there is none."""
+    marginal, done = model.prior.marginal, model.base_table.done[model.base_table.sid[s]]
+    scored = []
+    for i in range(model.n_goals):
+        m = marginal(k, i)
+        if m > 0.0 and not done >> i & 1:
+            v = m if oracle is None else oracle.dist(s, i)
+            if v < math.inf:
+                scored.append((v, i))
+    if not scored:
+        reachable = "" if oracle is None else "reachable "
+        raise NoEligibleGoal(f"no {reachable}eligible target at knowledge {k}")
+    best = (max if oracle is None else min)(v for v, _ in scored)
     return tuple(i for v, i in scored if abs(v - best) <= 1e-12 * max(1.0, abs(best)))
 
 
