@@ -153,13 +153,13 @@ class PlanCache:
         state ``sid`` under ``k``, found on first use.  A case with no
         eligible goal raises :class:`NoEligibleGoal` on every call; nothing
         is kept for it.  ``"cg"`` needs ``oracle``, equal on every call."""
+        memo = self._ties[selector]
         if selector == "mlg":
             oracle = None
         elif oracle is None or self._oracle not in (None, oracle):
             raise ValueError("closest-goal ties need this cache's one distance oracle")
         else:
             self._oracle = oracle
-        memo = self._ties[selector]
         key = (k.yes, k.no, sid)
         ties = memo.get(key)
         if ties is None:
