@@ -21,7 +21,6 @@ into the CSR arrays of :class:`Reachable`, whose rows are the compiled ids.
 
 from __future__ import annotations
 
-import weakref
 from array import array
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, TextIO, Tuple, Union
@@ -294,6 +293,13 @@ class Reachable:
     action at state ``r``: its successors, in ``ssp.successors`` order (so
     indices are not sorted), and ``ssp.cost``.  Goal rows have no
     successors and cost zero; ``goal`` marks them.
+
+    Value iteration sums each row in this stored order, where summing it
+    with columns sorted and repeats merged would give the same bits: a row
+    of at most two distinct columns adds up the same in either order.  The
+    rows where the order can matter, those of three or more entries with
+    columns out of order and those with a repeated column, it sums again
+    from a sorted copy of just those rows (``solvers._sorted_rows``).
     """
 
     goal: "np.ndarray" = field(repr=False)
@@ -302,12 +308,6 @@ class Reachable:
 
     def __len__(self) -> int:
         return len(self.goal)
-
-
-# per model: what its base properness check returned; a model does not
-# change once built
-_properness: "weakref.WeakKeyDictionary[GusspModel, Union[DistanceOracle, str]]" = (
-    weakref.WeakKeyDictionary())
 
 
 def compile_gussp(model: GusspModel) -> CompiledSsp:
@@ -329,9 +329,10 @@ def compile_gussp(model: GusspModel) -> CompiledSsp:
     ):
         # only meaningful when goals are literal places on the base graph; projected
         # goals (time labels, factored cells) need not stay mutually reachable
-        checked = _properness.get(model)
+        table = model.base_table
+        checked = table.properness
         if checked is None:
-            checked = _properness[model] = _check_base_properness(model)
+            checked = table.properness = _check_base_properness(model)
         if isinstance(checked, str):
             raise ImproperModel(checked)
         ssp.distance_oracle = checked
@@ -573,21 +574,29 @@ def _positions(starts: "np.ndarray", lens: "np.ndarray") -> "np.ndarray":
 
 def _dead_states(transitions: "sparse.csr_matrix", goal: "np.ndarray", n_actions: int):
     """Sorted ids of the states that cannot reach a goal: a level-by-level
-    numpy walk back from the goals over the transposed matrix, whose row
-    ``j`` holds the rows ``r * n_actions + a`` that can move to ``j``.  Each
-    level reads only the frontier's slices of the transposed matrix and
-    touches only the states it finds, so a deep graph costs its edges, not
-    its number of states per level."""
+    numpy walk back from the goals over the transposed pattern of the
+    matrix, whose row ``j`` holds the states ``r`` with an action that can
+    move to ``j``.  State ``r``'s entries are those of its rows, so the
+    pattern is the matrix's indices over every ``n_actions``-th ``indptr``,
+    with ``bool`` data.  Each level reads only the frontier's slices of the
+    transposed pattern and touches only the states it finds, so a deep
+    graph costs its edges, not its number of states per level."""
     import numpy as np
+    from scipy import sparse
 
-    back = transitions.T.tocsr()
+    n = len(goal)
+    pattern = sparse.csr_matrix(
+        (np.ones(transitions.nnz, dtype=bool), transitions.indices,
+         transitions.indptr[::n_actions]), shape=(n, n))
+    back = pattern.T.tocsr()
+    del pattern
     ptr, into = back.indptr, back.indices
     can_finish = goal.copy()
-    last = np.empty(len(goal), dtype=np.intc)  # per state, where it last sits in ``rows``
+    last = np.empty(n, dtype=np.intc)  # per state, where it last sits in ``rows``
     frontier = np.flatnonzero(can_finish)
     while frontier.size:
         lo = ptr[frontier]
-        rows = into[_positions(lo, ptr[frontier + 1] - lo)] // n_actions
+        rows = into[_positions(lo, ptr[frontier + 1] - lo)]
         rows = rows[~can_finish[rows]]
         can_finish[rows] = True
         at = np.arange(len(rows), dtype=np.intc)

@@ -183,13 +183,15 @@ class PlanCache:
             result = value_iteration(
                 ssp, reachable=enumerate_reachable(ssp), epsilon=self.epsilon
             )
-            states, sids = self.model.base_table.states, ssp._sids
+            states, acts = self.model.base_table.states, ssp.actions
             actions: List[Optional[Action]] = [None] * len(states)
             values: List[Optional[float]] = [None] * len(states)
-            for i, a in result.policy.items():
-                actions[sids[i]] = a
-            for i, v in result.table.values.items():
-                values[sids[i]] = v
+            # VI's arrays are indexed by compiled id, and ssp._sids holds each id's sid
+            index, v = result.policy.index.tolist(), result.table.values.array.tolist()
+            for sid, b, x in zip(ssp._sids, index, v):
+                values[sid] = x
+                if b >= 0:
+                    actions[sid] = acts[b]
             plan = self._plans[key] = DeterminizedPlan(target, actions, values, states)
         return plan, time.perf_counter() - t0
 

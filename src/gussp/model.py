@@ -566,9 +566,12 @@ class BaseTable:
     the model terminates at ``(sid, k)`` iff ``terminal[sid] or k.yes &
     goal_bit[sid]`` (``terminal_test``, else the bit of the goal ``s``
     instantiates), a plan for target ``t`` also ends where ``done[sid] >> t
-    & 1``, and ``exit_cost`` holds the checked ``terminal_cost``, if any."""
+    & 1``, and ``exit_cost`` holds the checked ``terminal_cost``, if any.
+    ``properness`` keeps what ``compile_gussp``'s base check returned, once
+    it ran: its distance oracle or the message it raises."""
 
     def __init__(self, model: GusspModel):
+        self.properness = None
         self.states, self.actions = states, actions = model.base_states, model.actions
         self.action_index = {a: n for n, a in enumerate(actions)}
         self.sid = {s: n for n, s in enumerate(states)}

@@ -15,15 +15,19 @@ problem or a determinization's single-target plan, and reads its
 ``q_rows(i)``, the memoised ``expand(i)`` with one ``(action, cost,
 successor row)`` per action in action order, or its ``successors(i, a)``
 view.  Value iteration reads the same rows from
-:func:`~gussp.compiler.enumerate_reachable`'s arrays instead.
+:func:`~gussp.compiler.enumerate_reachable`'s one CSR matrix instead, in
+place, and keeps its values and policy as arrays indexed by compiled id
+(:class:`ArrayValues`, :class:`ArrayPolicy`), which read and write like
+the other solvers' dicts.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections.abc import Mapping, MutableMapping
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from .compiler import Reachable, enumerate_reachable
 from .errors import NonConvergence
@@ -41,7 +45,7 @@ class ValueTable:
     """State values with an admissible default for untouched states."""
 
     default: Optional[Heuristic] = None
-    values: Dict[int, float] = field(default_factory=dict)
+    values: MutableMapping[int, float] = field(default_factory=dict)
     depth_solved: Set[int] = field(default_factory=set)  # FLARES' solved labels
 
     def value(self, i: int) -> float:
@@ -51,6 +55,63 @@ class ValueTable:
         if self.default is not None:
             return self.default(i)
         return 0.0
+
+
+class ArrayValues(MutableMapping):
+    """The values of compiled states ``0 .. n-1``, as one float64 ``array``
+    indexed by id, read and written like a dict of them; other ids are
+    absent, and storing or deleting one is an error."""
+
+    def __init__(self, array):
+        self.array = array
+
+    def __getitem__(self, i: int) -> float:
+        if 0 <= i < len(self.array):
+            return self.array.item(i)
+        raise KeyError(i)
+
+    def __setitem__(self, i: int, v: float) -> None:
+        if not 0 <= i < len(self.array):
+            raise KeyError(i)
+        self.array[i] = v
+
+    def __delitem__(self, i: int) -> None:
+        raise TypeError("an array of values keeps every state")
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(len(self.array)))
+
+    def __len__(self) -> int:
+        return len(self.array)
+
+
+class ArrayPolicy(Mapping):
+    """A policy over compiled states ``0 .. n-1``, as the position of each
+    state's action in ``actions``, or -1 where it has none (``index``),
+    read like a dict of them."""
+
+    def __init__(self, actions, index):
+        self.actions, self.index = actions, index
+
+    def get(self, i: int, default=None):  # execute_policy's one read per step
+        b = self.index.item(i) if 0 <= i < len(self.index) else -1
+        return default if b < 0 else self.actions[b]
+
+    def __getitem__(self, i: int) -> Action:
+        a = self.get(i)
+        if a is None:
+            raise KeyError(i)
+        return a
+
+    def __iter__(self) -> Iterator[int]:
+        import numpy as np
+
+        return map(int, np.flatnonzero(self.index >= 0))
+
+    def __len__(self) -> int:
+        import numpy as np
+
+        return int(np.count_nonzero(self.index >= 0))
 
 
 def bellman_backup(ssp, table: ValueTable, i: int) -> Tuple[float, Optional[Action], float]:
@@ -85,7 +146,7 @@ class Solution:
     non-goal state it settled, and the count it reports."""
 
     table: ValueTable
-    policy: Dict[int, Action]
+    policy: Mapping[int, Action]
     sweeps: int = 0  # value iteration
     expanded: int = 0  # LAO*
     trials: int = 0  # FLARES
@@ -109,70 +170,117 @@ def value_iteration(
     within ``max_sweeps``.  The policy is the per-row argmin of the
     Q-values, computed with the same arithmetic as :func:`bellman_backup`,
     so ties go to the earliest action.
+
+    Each sweep multiplies ``reachable.transitions`` as it is, state-major
+    with rows in successor order, and gets the bits a copy with sorted,
+    merged rows would give (:func:`_vi_sweeps`).  Nothing the size of the
+    matrix is copied, and no Python object is made per state: the values
+    and the policy stay arrays indexed by compiled id (:class:`ArrayValues`,
+    :class:`ArrayPolicy`).
     """
     if reachable is None:
         reachable = enumerate_reachable(ssp)
     v, sweeps = _vi_sweeps(reachable, epsilon, max_sweeps, on_sweep)
     best = _greedy_rows(reachable, v)
-
-    # row i of the arrays is compiled state i
-    actions = ssp.actions
-    policy = {
-        i: actions[b]
-        for i, (b, g) in enumerate(zip(best.tolist(), reachable.goal.tolist()))
-        if not g
-    }
-    return Solution(ValueTable(values=dict(enumerate(v.tolist()))), policy, sweeps=sweeps)
+    best[reachable.goal] = -1
+    return Solution(ValueTable(values=ArrayValues(v)), ArrayPolicy(ssp.actions, best),
+                    sweeps=sweeps)
 
 
 def _vi_sweeps(reachable: Reachable, epsilon, max_sweeps, on_sweep):
+    """Sweep ``reachable.transitions`` in place, state-major.  Each row is
+    summed as a copy with sorted, merged columns would sum it: a row of at
+    most two distinct columns gives the same bits in either order, and the
+    rows :func:`_sorted_rows` finds are summed again from a sorted copy."""
     import numpy as np
 
-    n = len(reachable)
-    goal = reachable.goal
-    # action-major rows, so the min over actions reads contiguous blocks;
-    # sweeps add each row in column order, as a COO-built matrix stores it.
-    # The copy is kept: a min over a strided (n, A) view of the one matrix
-    # made rover20's sweeps 3x slower and raised VI's peak.
-    order = np.arange(len(reachable.cost)).reshape(n, -1).T.ravel()
-    m = reachable.transitions[order]
-    m.sum_duplicates()
-    c = reachable.cost[order]
-    del order
-
-    v = np.zeros(n)
+    m, n = reachable.transitions, len(reachable)
+    n_actions = len(reachable.cost) // n
+    cost = reachable.cost.reshape(n, n_actions)
+    fixed, side = _sorted_rows(m)
+    goals = np.flatnonzero(reachable.goal)
+    span = max(1, _CHUNK // n_actions)
+    blocks = [slice(lo, lo + span) for lo in range(0, n, span)]
+    v, new, diff = np.zeros(n), np.empty(n), np.empty(n)
     for sweep in range(1, max_sweeps + 1):
         q = m.dot(v)
-        q += c  # in place: one n * A temporary per sweep, the same bits
-        q = q.reshape(-1, n).min(axis=0)
-        q[goal] = 0.0
-        residual = float(np.max(np.abs(q - v))) if n else 0.0
-        v = q
+        if fixed.size:
+            q[fixed] = side.dot(v)
+        by_action = q.reshape(n, n_actions)
+        for b in blocks:  # each block's cost and min while it is in cache
+            qb, out = by_action[b], new[b]
+            qb += cost[b]  # in place: the same bits
+            # the first and last action first, so one action needs no case
+            np.minimum(qb[:, 0], qb[:, -1], out=out)
+            for a in range(1, n_actions - 1):
+                np.minimum(out, qb[:, a], out=out)
+        del q, by_action, qb  # before the next sweep's q exists
+        new[goals] = 0.0
+        residual = float(np.abs(np.subtract(new, v, out=diff), out=diff).max())
+        v, new = new, v
         if on_sweep is not None:
-            on_sweep(sweep, residual, v)
+            values = v.view()
+            values.flags.writeable = False
+            on_sweep(sweep, residual, values)
         if residual < epsilon:
             return v, sweep
     raise NonConvergence(f"value iteration: residual above {epsilon} after {max_sweeps} sweeps")
 
 
+_CHUNK = 1 << 15  # matrix rows per block of _vi_sweeps, _sorted_rows and _greedy_rows
+
+
+def _sorted_rows(m):
+    """The rows of CSR ``m`` whose sum depends on the order of their
+    entries, and a CSR of just those rows with columns sorted and repeats
+    merged (``sum_duplicates``): rows of three or more entries with columns
+    out of order, and rows with a repeated column.  The rows are scanned a
+    bounded number at a time."""
+    import numpy as np
+
+    ptr, cols = m.indptr, m.indices
+    found = []
+    for lo in range(0, m.shape[0], _CHUNK):
+        p = ptr[lo:lo + _CHUNK + 1] - ptr[lo]
+        lengths = np.diff(p)
+        c = cols[ptr[lo]:ptr[lo] + p[-1]]
+        opens = np.zeros(len(c), dtype=bool)  # the entries that begin a row
+        opens[p[:-1][lengths > 0]] = True
+        step = np.diff(c)  # entry k + 1's column minus entry k's
+        at = np.flatnonzero((step <= 0) & ~opens[1:])  # k + 1 in k's row, not after it
+        rows = np.searchsorted(p, at, side="right") - 1
+        keep = (step[at] == 0) | (lengths[rows] >= 3)
+        found.append(np.unique(rows[keep]) + lo)
+    rows = np.concatenate(found)
+    side = m[rows]
+    side.sum_duplicates()
+    return rows, side
+
+
 def _greedy_rows(reachable: Reachable, v):
-    """Index of the greedy action per row; the first minimum wins.
+    """Index of the greedy action per state; the first minimum wins.
 
     Each Q-value is a left fold from the cost over the row in successor
     order, one vectorised step per row position, exactly as
     :func:`bellman_backup` adds it up.  Adding a goal successor's zero
-    value leaves the sum unchanged, so they need no skipping."""
+    value leaves the sum unchanged, so they need no skipping.  The states
+    are folded a bounded number at a time."""
     import numpy as np
 
-    m = reachable.transitions
-    q = reachable.cost.copy()
-    starts = m.indptr[:-1]
-    lengths = np.diff(m.indptr)
-    for pos in range(int(lengths.max(initial=0))):
-        rows = np.flatnonzero(lengths > pos)
-        at = starts[rows] + pos
-        q[rows] += m.data[at] * v[m.indices[at]]
-    return q.reshape(len(v), -1).argmin(axis=1)
+    m, n = reachable.transitions, len(v)
+    n_actions = len(reachable.cost) // n
+    best, span = np.empty(n, dtype=np.intp), max(1, _CHUNK // n_actions)
+    for lo in range(0, n, span):
+        hi = min(lo + span, n)
+        q = reachable.cost[lo * n_actions:hi * n_actions].copy()
+        ptr = m.indptr[lo * n_actions:hi * n_actions + 1]
+        starts, lengths = ptr[:-1], np.diff(ptr)
+        for pos in range(int(lengths.max(initial=0))):
+            rows = np.flatnonzero(lengths > pos)
+            at = starts[rows] + pos
+            q[rows] += m.data[at] * v[m.indices[at]]
+        best[lo:hi] = q.reshape(-1, n_actions).argmin(axis=1)
+    return best
 
 
 def lao_star(ssp, heuristic: Optional[Heuristic] = None, *, epsilon: float = 1e-6) -> Solution:

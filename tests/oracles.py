@@ -449,6 +449,46 @@ def dead_states_reference(transitions, goal, n_actions: int) -> List[int]:
     return [r for r in range(len(can_finish)) if not can_finish[r]]
 
 
+# -- value iteration: the sweep over an action-major, column-sorted copy -----
+
+
+def vi_sweeps_reference(reachable: Reachable, epsilon: float = 1e-6,
+                        max_sweeps: int = 100_000):
+    """Value iteration's sweeps and greedy rows as they were before the
+    sweeps read the matrix in place: each sweep multiplies an action-major
+    copy of the matrix whose rows ``sum_duplicates`` sorted and merged, and
+    the greedy fold runs over every row at once.  Returns the values, the
+    sweep count and the argmin action of every state, goals included."""
+    import numpy as np
+
+    n = len(reachable)
+    order = np.arange(len(reachable.cost)).reshape(n, -1).T.ravel()
+    m = reachable.transitions[order]
+    m.sum_duplicates()
+    c = reachable.cost[order]
+    v = np.zeros(n)
+    for sweeps in range(1, max_sweeps + 1):
+        q = m.dot(v)
+        q += c
+        q = q.reshape(-1, n).min(axis=0)
+        q[reachable.goal] = 0.0
+        residual = float(np.max(np.abs(q - v)))
+        v = q
+        if residual < epsilon:
+            break
+    else:
+        raise AssertionError(f"no convergence to {epsilon} in {max_sweeps} sweeps")
+
+    t = reachable.transitions
+    q = reachable.cost.copy()
+    starts, lengths = t.indptr[:-1], np.diff(t.indptr)
+    for pos in range(int(lengths.max(initial=0))):
+        rows = np.flatnonzero(lengths > pos)
+        at = starts[rows] + pos
+        q[rows] += t.data[at] * v[t.indices[at]]
+    return v, sweeps, q.reshape(n, -1).argmin(axis=1)
+
+
 # -- enumeration: the state-by-state walk the level walk replaced ------------
 
 
