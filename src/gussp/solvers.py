@@ -165,7 +165,8 @@ def value_iteration(
 
     Sweeps are Jacobi-style from zero, so the value of every state is
     nondecreasing across sweeps.  ``on_sweep(sweep, residual, values)`` is
-    invoked after each sweep (``values`` is read-only).  Raises
+    invoked after each sweep (``values`` is a read-only view, overwritten
+    by the next sweep).  Raises
     :class:`NonConvergence` if the residual does not drop below ``epsilon``
     within ``max_sweeps``.  The policy is the per-row argmin of the
     Q-values, computed with the same arithmetic as :func:`bellman_backup`,
